@@ -31,7 +31,13 @@ to come by twice:
   plus a digest of the ``repro.sparse`` sources only).  Editing the kernels,
   the simulator or the training code invalidates measurements and sweeps but
   *not* the generated matrices — re-benchmarking after such an edit skips
-  the generation cost entirely.
+  the generation cost entirely.  Matrices are structure-first: a generator's
+  values draw is a deferred :class:`~repro.sparse.csr.DeferredValues` recipe
+  that the sweep never draws, so an artifact holds ``row_offsets`` (int64),
+  ``col_indices`` (int32 when ``num_cols`` fits) and the recipe's six-word
+  ``values_state`` — about 4.8 bytes per nonzero instead of 16.8.  An
+  unreadable artifact (absent, truncated, failing its zip CRC, malformed) is
+  a miss: the matrix is regenerated and the slot overwritten.
 
 The engine is domain-aware: every cache key embeds the active
 :class:`~repro.domains.ProblemDomain`'s name, workers resolve the domain by
@@ -44,17 +50,17 @@ Cache layout::
       sweeps/<config-hash>.pkl        # whole SweepResult artifacts
       sweeps/<config-hash>.json       # human-readable config for debugging
       measurements/<matrix-hash>.json # per-workload MatrixMeasurement records
-      matrices/<recipe-hash>.npz      # generated CSR matrices
+      matrices/<recipe-hash>.npz      # generated CSR structure + values_state
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import pickle
 import tempfile
-import zipfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -73,10 +79,13 @@ from repro.domains import get_domain, spec_payload
 from repro.gpu.device import MI100, DeviceSpec
 from repro.sparse import io as sparse_io
 from repro.sparse.collection import CollectionProfile
+from repro.sparse.coo import SparseFormatError
 from repro.sparse.csr import CSRMatrix
 
+logger = logging.getLogger(__name__)
+
 #: Bumped whenever the on-disk layout of cached artifacts changes.
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
 
 def _digest_sources(root: Path) -> str:
@@ -278,13 +287,12 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
 
 
 def _load_matrix_artifact(path: Path):
-    """Read a cached matrix artifact, or ``None`` when absent/corrupt."""
+    """Read a cached matrix artifact, or ``None`` when absent/unreadable."""
     try:
-        data = path.read_bytes()
-        return matrix_from_bytes(data)
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-        # BadZipFile covers .npz files that keep their zip magic but are
-        # truncated/corrupt; such artifacts are regenerated, never fatal.
+        return sparse_io.load_npz(path)
+    except SparseFormatError as exc:
+        if path.exists():
+            logger.warning("matrix artifact treated as a miss: %s", exc)
         return None
 
 

@@ -25,6 +25,7 @@ Scaling machinery is reused from the sweep engine:
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -70,8 +71,10 @@ from repro.sparse import io as sparse_io
 from repro.sparse.coo import SparseFormatError
 from repro.sparse.csr import CSRMatrix
 
+logger = logging.getLogger(__name__)
+
 #: Bumped whenever the ingest-cache artifact layout changes.
-INGEST_FORMAT_VERSION = 1
+INGEST_FORMAT_VERSION = 2
 
 #: File names of one serve run's artifact pair.
 DECISIONS_FILE_NAME = "decisions.csv"
@@ -118,7 +121,9 @@ class IngestCache:
 def _load_cached_matrix(path: Path):
     try:
         return sparse_io.load_npz(path)
-    except (SparseFormatError, OSError):
+    except SparseFormatError as exc:
+        if path.exists():
+            logger.warning("ingest cache entry treated as a miss: %s", exc)
         return None
 
 

@@ -14,8 +14,97 @@ import numpy as np
 
 from repro.sparse.coo import COOMatrix, SparseFormatError
 
+#: Stored values of generated matrices are drawn uniformly from this range,
+#: so SpMV results are well-conditioned for comparisons.
+VALUE_LOW, VALUE_HIGH = 0.5, 1.5
 
-@dataclass
+_UINT64_MASK = (1 << 64) - 1
+
+
+@dataclass(frozen=True)
+class DeferredValues:
+    """A ``Generator(PCG64).uniform(0.5, 1.5, size)`` draw not yet taken.
+
+    ``state`` is the full ``bit_generator.state`` dict the draw starts from;
+    :meth:`draw` replays it bit-identically.  Seer's features and every
+    kernel cost model read only the sparsity structure, so most generated
+    matrices never need their values at all.
+    """
+
+    state: dict
+    size: int
+
+    @property
+    def shape(self) -> tuple:
+        return (self.size,)
+
+    def draw(self) -> np.ndarray:
+        """The values the original generator would have produced."""
+        rng = np.random.default_rng(0)
+        rng.bit_generator.state = self.state
+        return rng.uniform(VALUE_LOW, VALUE_HIGH, size=self.size)
+
+    def to_words(self) -> np.ndarray:
+        """The state as six ``uint64`` words (archive form)."""
+        inner = self.state["state"]
+        return np.array(
+            [
+                inner["state"] >> 64,
+                inner["state"] & _UINT64_MASK,
+                inner["inc"] >> 64,
+                inner["inc"] & _UINT64_MASK,
+                self.state["has_uint32"],
+                self.state["uinteger"],
+            ],
+            dtype=np.uint64,
+        )
+
+    @classmethod
+    def from_words(cls, words, size: int) -> "DeferredValues":
+        """Inverse of :meth:`to_words`; raises :class:`SparseFormatError`."""
+        words = np.asarray(words)
+        if words.dtype != np.uint64 or words.shape != (6,):
+            raise SparseFormatError(
+                f"values_state must be 6 uint64 words, got {words.dtype} {words.shape}"
+            )
+        state_hi, state_lo, inc_hi, inc_lo, has_uint32, uinteger = (int(w) for w in words)
+        if has_uint32 not in (0, 1) or uinteger >> 32 or not inc_lo & 1:
+            raise SparseFormatError("values_state is not a PCG64 state")
+        return cls(
+            state={
+                "bit_generator": "PCG64",
+                "state": {
+                    "state": state_hi << 64 | state_lo,
+                    "inc": inc_hi << 64 | inc_lo,
+                },
+                "has_uint32": has_uint32,
+                "uinteger": uinteger,
+            },
+            size=size,
+        )
+
+
+def uniform_values(rng: np.random.Generator, size: int):
+    """``rng.uniform(0.5, 1.5, size)``, deferred when the stream is PCG64.
+
+    Either way ``rng`` ends in the state the eager draw leaves it in.  A
+    PCG64 stream is skipped with ``advance``; any other bit generator draws
+    eagerly.
+    """
+    bit_generator = rng.bit_generator
+    if size == 0 or type(bit_generator) is not np.random.PCG64:
+        return rng.uniform(VALUE_LOW, VALUE_HIGH, size=size)
+    state = bit_generator.state
+    bit_generator.advance(size)
+    # advance() also clears the buffered 32-bit half-word, which a uniform
+    # draw leaves in place; restore it so later integer draws match.
+    after = bit_generator.state
+    after["has_uint32"] = state["has_uint32"]
+    after["uinteger"] = state["uinteger"]
+    bit_generator.state = after
+    return DeferredValues(state=state, size=size)
+
+
 class CSRMatrix:
     """A sparse matrix in compressed-sparse-row format.
 
@@ -29,20 +118,40 @@ class CSRMatrix:
     col_indices:
         Column index of every stored entry, grouped by row.
     values:
-        Stored values, aligned with ``col_indices``.
+        Stored values, aligned with ``col_indices``.  The constructor also
+        accepts a :class:`DeferredValues` recipe, drawn on first access.
     """
 
-    num_rows: int
-    num_cols: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.row_offsets = np.asarray(self.row_offsets, dtype=np.int64)
-        self.col_indices = np.asarray(self.col_indices, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
+    def __init__(
+        self,
+        num_rows: int,
+        num_cols: int,
+        row_offsets: np.ndarray,
+        col_indices: np.ndarray,
+        values,
+    ) -> None:
+        self.num_rows = num_rows
+        self.num_cols = num_cols
+        self.row_offsets = np.asarray(row_offsets, dtype=np.int64)
+        self.col_indices = np.asarray(col_indices, dtype=np.int64)
+        if not isinstance(values, DeferredValues):
+            values = np.asarray(values, dtype=np.float64)
+        self._values = values
         self.validate()
+
+    @property
+    def values(self) -> np.ndarray:
+        """Stored values, aligned with ``col_indices``."""
+        if isinstance(self._values, DeferredValues):
+            self._values = self._values.draw()
+        return self._values
+
+    @property
+    def deferred_values(self):
+        """The undrawn :class:`DeferredValues` recipe, or ``None``."""
+        if isinstance(self._values, DeferredValues):
+            return self._values
+        return None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -50,7 +159,7 @@ class CSRMatrix:
     @property
     def nnz(self) -> int:
         """Number of stored entries."""
-        return int(self.values.shape[0])
+        return int(self.col_indices.shape[0])
 
     @property
     def shape(self) -> tuple:
@@ -66,15 +175,15 @@ class CSRMatrix:
                 "row_offsets must have length num_rows + 1, got "
                 f"{self.row_offsets.shape[0]} for {self.num_rows} rows"
             )
-        if self.col_indices.shape != self.values.shape:
+        if self.col_indices.shape != self._values.shape:
             raise SparseFormatError("col_indices and values must align")
         if self.row_offsets[0] != 0:
             raise SparseFormatError("row_offsets must start at 0")
-        if self.row_offsets[-1] != self.values.shape[0]:
+        if self.row_offsets[-1] != self.col_indices.shape[0]:
             raise SparseFormatError("row_offsets must end at nnz")
         if np.any(np.diff(self.row_offsets) < 0):
             raise SparseFormatError("row_offsets must be non-decreasing")
-        if self.values.shape[0]:
+        if self.col_indices.shape[0]:
             if self.col_indices.min() < 0 or self.col_indices.max() >= self.num_cols:
                 raise SparseFormatError("column index out of bounds")
 
@@ -126,8 +235,7 @@ class CSRMatrix:
         """Build a matrix with the given per-row nonzero counts.
 
         Column indices within each row are sampled without replacement from
-        ``[0, num_cols)`` and sorted; values are drawn uniformly from
-        ``[0.5, 1.5)`` so SpMV results are well-conditioned for comparisons.
+        ``[0, num_cols)`` and sorted; values come from :func:`uniform_values`.
         """
         row_lengths = np.asarray(row_lengths, dtype=np.int64)
         if np.any(row_lengths < 0):
@@ -155,13 +263,12 @@ class CSRMatrix:
                     cols = np.unique(np.concatenate([cols, extra]))
                 cols = rng.permutation(cols)[:length]
             col_indices[start:stop] = np.sort(cols)
-        values = rng.uniform(0.5, 1.5, size=nnz)
         return cls(
             num_rows=num_rows,
             num_cols=num_cols,
             row_offsets=row_offsets,
             col_indices=col_indices,
-            values=values,
+            values=uniform_values(rng, nnz),
         )
 
     # ------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, uniform_values
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -63,16 +63,32 @@ def matrix_from_row_lengths(
     # Strides are capped so a row never wraps around, keeping columns unique.
     max_stride = np.maximum(1, (num_cols - 1) // np.maximum(row_lengths, 1))
     strides = 1 + (rng.integers(0, 8, size=num_rows) % max_stride)
-    row_ids = np.repeat(np.arange(num_rows, dtype=np.int64), row_lengths)
-    intra = np.arange(nnz, dtype=np.int64) - np.repeat(row_offsets[:-1], row_lengths)
-    col_indices = (starts[row_ids] + intra * strides[row_ids]) % num_cols
-    values = rng.uniform(0.5, 1.5, size=nnz)
+    # Entry k of a row is starts + k * strides; with the global position
+    # p = row_offsets + k that is p * strides + (starts - row_offsets * strides).
+    col_indices = np.arange(nnz, dtype=np.int64)
+    col_indices *= np.repeat(strides, row_lengths)
+    col_indices += np.repeat(starts - row_offsets[:-1] * strides, row_lengths)
+    col_indices %= num_cols
     return CSRMatrix(
         num_rows=num_rows,
         num_cols=num_cols,
         row_offsets=row_offsets,
         col_indices=col_indices,
-        values=values,
+        values=uniform_values(rng, nnz),
+    )
+
+
+def _row_runs_matrix(num_rows, row_offsets, row_lengths, starts, rng) -> CSRMatrix:
+    """Square matrix whose row ``i`` holds columns ``starts[i], starts[i] + 1, ...``."""
+    nnz = int(row_offsets[-1])
+    col_indices = np.arange(nnz, dtype=np.int64)
+    col_indices += np.repeat(starts - row_offsets[:-1], row_lengths)
+    return CSRMatrix(
+        num_rows=num_rows,
+        num_cols=num_rows,
+        row_offsets=row_offsets,
+        col_indices=col_indices,
+        values=uniform_values(rng, nnz),
     )
 
 
@@ -91,7 +107,7 @@ def diagonal_matrix(num_rows: int, rng=0) -> CSRMatrix:
         num_cols=num_rows,
         row_offsets=row_offsets,
         col_indices=np.arange(num_rows, dtype=np.int64),
-        values=rng.uniform(0.5, 1.5, size=num_rows),
+        values=uniform_values(rng, num_rows),
     )
 
 
@@ -105,17 +121,7 @@ def banded_matrix(num_rows: int, bandwidth: int, rng=0) -> CSRMatrix:
     row_lengths = stops - starts
     row_offsets = np.zeros(num_rows + 1, dtype=np.int64)
     row_offsets[1:] = np.cumsum(row_lengths)
-    nnz = int(row_offsets[-1])
-    row_ids = np.repeat(rows, row_lengths)
-    intra = np.arange(nnz, dtype=np.int64) - np.repeat(row_offsets[:-1], row_lengths)
-    col_indices = starts[row_ids] + intra
-    return CSRMatrix(
-        num_rows=num_rows,
-        num_cols=num_rows,
-        row_offsets=row_offsets,
-        col_indices=col_indices,
-        values=rng.uniform(0.5, 1.5, size=nnz),
-    )
+    return _row_runs_matrix(num_rows, row_offsets, row_lengths, starts, rng)
 
 
 def uniform_random_matrix(
@@ -180,19 +186,9 @@ def block_diagonal_matrix(num_blocks: int, block_size: int, rng=0) -> CSRMatrix:
     row_lengths = np.full(num_rows, block_size, dtype=np.int64)
     row_offsets = np.zeros(num_rows + 1, dtype=np.int64)
     row_offsets[1:] = np.cumsum(row_lengths)
-    nnz = int(row_offsets[-1])
     rows = np.arange(num_rows, dtype=np.int64)
     block_starts = (rows // block_size) * block_size
-    row_ids = np.repeat(rows, row_lengths)
-    intra = np.arange(nnz, dtype=np.int64) - np.repeat(row_offsets[:-1], row_lengths)
-    col_indices = block_starts[row_ids] + intra
-    return CSRMatrix(
-        num_rows=num_rows,
-        num_cols=num_rows,
-        row_offsets=row_offsets,
-        col_indices=col_indices,
-        values=rng.uniform(0.5, 1.5, size=nnz),
-    )
+    return _row_runs_matrix(num_rows, row_offsets, row_lengths, block_starts, rng)
 
 
 def road_network_matrix(num_rows: int, rng=0) -> CSRMatrix:
@@ -228,25 +224,12 @@ def variable_block_matrix(
         size = min(size, num_rows - total)
         block_sizes.append(size)
         total += size
-    row_lengths = np.concatenate(
-        [np.full(size, size, dtype=np.int64) for size in block_sizes]
-    )
-    block_starts = np.concatenate(
-        [np.full(size, start, dtype=np.int64)
-         for start, size in zip(np.cumsum([0] + block_sizes[:-1]), block_sizes)]
-    )
+    sizes = np.array(block_sizes, dtype=np.int64)
+    row_lengths = np.repeat(sizes, sizes)
+    block_starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
     row_offsets = np.zeros(num_rows + 1, dtype=np.int64)
     row_offsets[1:] = np.cumsum(row_lengths)
-    nnz = int(row_offsets[-1])
-    intra = np.arange(nnz, dtype=np.int64) - np.repeat(row_offsets[:-1], row_lengths)
-    col_indices = np.repeat(block_starts, row_lengths) + intra
-    return CSRMatrix(
-        num_rows=num_rows,
-        num_cols=num_rows,
-        row_offsets=row_offsets,
-        col_indices=col_indices,
-        values=rng.uniform(0.5, 1.5, size=nnz),
-    )
+    return _row_runs_matrix(num_rows, row_offsets, row_lengths, block_starts, rng)
 
 
 def stencil_matrix(num_rows: int, points: int = 9, rng=0) -> CSRMatrix:
@@ -296,7 +279,7 @@ def stencil_matrix(num_rows: int, points: int = 9, rng=0) -> CSRMatrix:
         num_cols=num_rows,
         row_offsets=row_offsets,
         col_indices=col_indices,
-        values=rng.uniform(0.5, 1.5, size=int(row_offsets[-1])),
+        values=uniform_values(rng, int(row_offsets[-1])),
     )
 
 

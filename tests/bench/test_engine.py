@@ -323,6 +323,26 @@ def test_corrupt_matrix_artifact_is_regenerated(tmp_path):
     assert second.test_report.aggregate_table() == first.test_report.aggregate_table()
 
 
+@pytest.mark.parametrize("domain", ["spmv", "spmm"])
+def test_sweeps_never_draw_matrix_values(domain, tmp_path, monkeypatch):
+    """Features and cost models read structure only: values stay undrawn."""
+    from repro.sparse.csr import DeferredValues
+
+    def _refuse(self):
+        raise AssertionError("a sweep drew matrix values")
+
+    monkeypatch.setattr(DeferredValues, "draw", _refuse)
+    cold = SweepEngine(jobs=1, cache_dir=tmp_path)
+    cold.run_sweep(profile="tiny", domain=domain)
+    shutil.rmtree(tmp_path / "measurements")
+    shutil.rmtree(tmp_path / "sweeps")
+    warm = SweepEngine(jobs=1, cache_dir=tmp_path)
+    warm.run_sweep(profile="tiny", domain=domain)
+    assert cold.stats.matrices_generated > 0
+    assert warm.stats.matrices_generated == 0
+    assert warm.stats.matrix_cache_hits == warm.stats.matrices_measured
+
+
 def test_matrix_roundtrips_through_npz():
     from repro.bench.engine import matrix_from_bytes, matrix_to_bytes
     from repro.sparse import generators as gen

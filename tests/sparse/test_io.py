@@ -1,11 +1,21 @@
-"""Tests for Matrix-Market I/O."""
+"""Tests for Matrix-Market I/O and the CSR ``.npz`` archive."""
+
+import importlib
+import io
+import logging
 
 import numpy as np
 import pytest
 
+from repro.sparse.coo import SparseFormatError
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.generators import power_law_matrix
-from repro.sparse.io import MatrixMarketError, read_matrix_market, write_matrix_market
+from repro.sparse.io import (
+    MatrixMarketError,
+    csr_to_npz_bytes,
+    read_matrix_market,
+    write_matrix_market,
+)
 
 
 def test_write_read_round_trip(tmp_path):
@@ -250,3 +260,104 @@ def test_load_npz_clear_errors(tmp_path):
     corrupt.write_bytes(b"not an archive")
     with pytest.raises(SparseFormatError, match="corrupt.npz"):
         load_npz(corrupt)
+
+
+def _archive_arrays(data: bytes) -> dict:
+    with np.load(io.BytesIO(data)) as arrays:
+        return {name: arrays[name] for name in arrays.files}
+
+
+def _drawn(matrix):
+    assert matrix.values.shape == (matrix.nnz,)  # draws the deferred values
+    return matrix
+
+
+#: num_cols = 2**31 does not fit int32, so the archive keeps int64 columns.
+WIDE = 2**31
+
+ARCHIVE_CASES = {
+    "deferred": lambda: power_law_matrix(60, 45, 4.0, rng=6),
+    "drawn": lambda: _drawn(power_law_matrix(60, 45, 4.0, rng=6)),
+    "wide": lambda: CSRMatrix(2, WIDE, [0, 1, 3], [0, 5, WIDE - 1], [1.0, 2.0, 3.0]),
+}
+
+
+def test_archive_narrows_columns_and_stores_the_values_recipe():
+    deferred = _archive_arrays(csr_to_npz_bytes(ARCHIVE_CASES["deferred"]()))
+    assert deferred["col_indices"].dtype == np.int32
+    assert deferred["row_offsets"].dtype == np.int64
+    assert deferred["values_state"].dtype == np.uint64
+    assert "values" not in deferred
+    drawn = _archive_arrays(csr_to_npz_bytes(ARCHIVE_CASES["drawn"]()))
+    assert drawn["values"].dtype == np.float64
+    assert "values_state" not in drawn
+    wide = _archive_arrays(csr_to_npz_bytes(ARCHIVE_CASES["wide"]()))
+    assert wide["col_indices"].dtype == np.int64
+
+
+@pytest.mark.parametrize("case", sorted(ARCHIVE_CASES))
+def test_npz_round_trips_restore_int64_columns_and_float64_values(case, tmp_path):
+    from repro.bench.engine import matrix_from_bytes, matrix_to_bytes
+    from repro.sparse.io import load_npz, save_npz
+
+    matrix = ARCHIVE_CASES[case]()
+    path = tmp_path / "m.npz"
+    save_npz(matrix, path)
+    restored = [matrix_from_bytes(matrix_to_bytes(matrix)), load_npz(path)]
+    for loaded in restored:
+        assert loaded.shape == matrix.shape
+        assert loaded.col_indices.dtype == np.int64
+        assert loaded.values.dtype == np.float64
+        np.testing.assert_array_equal(loaded.row_offsets, matrix.row_offsets)
+        np.testing.assert_array_equal(loaded.col_indices, matrix.col_indices)
+        np.testing.assert_array_equal(loaded.values, matrix.values)
+
+
+def _malformed_state(path):
+    arrays = _archive_arrays(csr_to_npz_bytes(power_law_matrix(60, 45, 4.0, rng=6)))
+    arrays["values_state"][4] = 7  # has_uint32 must be 0 or 1
+    np.savez(path, **arrays)
+
+
+def _bad_crc(path):
+    data = bytearray(csr_to_npz_bytes(power_law_matrix(60, 45, 4.0, rng=6)))
+    data[len(data) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))
+
+
+def _truncated(path):
+    path.write_bytes(csr_to_npz_bytes(power_law_matrix(60, 45, 4.0, rng=6))[:300])
+
+
+UNREADABLE = {"malformed-state": _malformed_state, "bad-crc": _bad_crc, "truncated": _truncated}
+
+#: The two matrix cache tiers: (module, loader returning None on a miss).
+TIER_LOADERS = [
+    ("repro.bench.engine", "_load_matrix_artifact"),
+    ("repro.serving.ingest", "_load_cached_matrix"),
+]
+
+
+@pytest.mark.parametrize("write", sorted(UNREADABLE))
+def test_unreadable_archive_rejected_at_load(write, tmp_path):
+    from repro.sparse.io import load_npz
+
+    path = tmp_path / "bad.npz"
+    UNREADABLE[write](path)
+    with pytest.raises(SparseFormatError, match="bad.npz"):
+        load_npz(path)
+
+
+@pytest.mark.parametrize("module_name, loader", TIER_LOADERS)
+@pytest.mark.parametrize("write", sorted(UNREADABLE))
+def test_unreadable_archive_is_a_logged_miss_in_both_tiers(
+    module_name, loader, write, tmp_path, caplog
+):
+    load = getattr(importlib.import_module(module_name), loader)
+    path = tmp_path / "bad.npz"
+    UNREADABLE[write](path)
+    with caplog.at_level(logging.WARNING, logger=module_name):
+        assert load(path) is None
+        assert load(tmp_path / "absent.npz") is None  # a plain miss: not logged
+    assert [record.name for record in caplog.records] == [module_name]
+    assert "bad.npz" in caplog.records[0].getMessage()
