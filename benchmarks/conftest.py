@@ -53,8 +53,8 @@ def engine_bench_profile() -> str:
 def paper_sweep():
     """The end-to-end pipeline run shared by every figure/table benchmark.
 
-    The same ``SEER_JOBS``/``SEER_CACHE_DIR`` variables the experiment
-    drivers honour also parallelize/cache this fixture — only the sweep
+    The same ``SEER_JOBS``/``SEER_CACHE_DIR`` variables the CLI honours
+    also parallelize/cache this fixture — only the sweep
     *production* is affected, never the quantities being benchmarked.
     """
     return run_sweep(profile=bench_profile(), engine=engine_from_env())

@@ -19,9 +19,7 @@ def test_ablation_selector_vs_fixed_strategies(benchmark, paper_sweep):
     """The classifier-selection model vs always-known and always-gathered."""
 
     def run():
-        return evaluate_dataset(
-            paper_sweep.test_set, paper_sweep.models, paper_sweep.predictor
-        )
+        return evaluate_dataset(paper_sweep.test_set, paper_sweep.models)
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
     table = {

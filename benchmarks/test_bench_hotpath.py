@@ -12,7 +12,7 @@ from benchmarks.conftest import engine_bench_profile, record
 from repro.core.benchmarking import measure_matrix
 from repro.core.codegen import models_to_cpp_header, models_to_python_module
 from repro.domains import get_domain
-from repro.sparse.collection import build_collection
+from repro.sparse.collection import iter_collection
 
 import pytest
 
@@ -21,24 +21,22 @@ import pytest
 def measure_setup():
     """The collection plus the kernel/pipeline set the sweep measures with."""
     domain = get_domain("spmv")
-    collection = build_collection(profile=engine_bench_profile())
-    kernels = domain.default_kernels()
-    pipeline = domain.make_pipeline()
-    return domain, collection, kernels, pipeline
+    collection = list(iter_collection(profile=engine_bench_profile()))
+    return collection, domain.default_kernels(), domain.make_pipeline()
 
 
-def _measure_all(domain, collection, kernels, pipeline):
+def _measure_all(collection, kernels, pipeline):
     for entry in collection:
-        measure_matrix(entry.name, entry.matrix, kernels, pipeline, domain=domain)
+        measure_matrix(entry.name, entry.matrix, kernels, pipeline)
 
 
 def test_bench_measure_loop_vectorized(benchmark, measure_setup):
     """Batched feature+timing loop over the whole collection profile."""
-    domain, collection, kernels, pipeline = measure_setup
-    benchmark(_measure_all, domain, collection, kernels, pipeline)
+    collection, kernels, pipeline = measure_setup
+    benchmark(_measure_all, collection, kernels, pipeline)
     record(
         benchmark,
-        matrices=len(list(collection)),
+        matrices=len(collection),
         profile=engine_bench_profile(),
     )
 

@@ -10,15 +10,15 @@ import numpy as np
 
 from benchmarks.conftest import record
 from repro.core.training import train_seer_models
+from repro.domains.spmv import SPMV
 from repro.kernels.feature_kernels import FeatureCollector
-from repro.kernels.registry import make_kernel
 from repro.sparse.generators import power_law_matrix
 
 
 def test_bench_kernel_timing_simulation(benchmark):
     """Simulated timing of one adaptive-CSR iteration on a 1M-row matrix."""
     matrix = power_law_matrix(1_000_000, 1_000_000, 10.0, rng=1)
-    kernel = make_kernel("CSR,A")
+    kernel = SPMV.make_kernel("CSR,A")
     result = benchmark(lambda: kernel.timing(matrix))
     record(benchmark, iteration_ms=result.iteration_ms, rows=matrix.num_rows, nnz=matrix.nnz)
 

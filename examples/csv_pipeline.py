@@ -21,7 +21,7 @@ from pathlib import Path
 
 from repro.core.benchmarking import run_benchmark_suite
 from repro.core.seer import seer
-from repro.sparse.collection import build_collection
+from repro.sparse.collection import iter_collection
 
 
 def main() -> None:
@@ -30,8 +30,8 @@ def main() -> None:
 
     # Stage 1+2: GPU benchmarking and feature collection over the
     # representative dataset, written out as the Section III-D CSVs.
-    collection = build_collection("tiny")
-    suite = run_benchmark_suite(collection)
+    records = list(iter_collection("tiny"))
+    suite = run_benchmark_suite(records)
     suite.save(workdir)
     print(f"wrote benchmarking CSVs for {len(suite)} matrices and "
           f"{len(suite.kernel_names)} kernels:")
@@ -55,7 +55,7 @@ def main() -> None:
         print(f"  {line}")
 
     # Stage 4: the returned predictor is immediately deployable.
-    record = collection.records[0]
+    record = records[0]
     decision = result.predictor.predict(record.matrix, iterations=19, name=record.name)
     print(f"\nexample selection for {record.name!r} at 19 iterations: "
           f"{decision.selector_choice} path -> {decision.kernel_name}")

@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import run_sweep
+from repro.domains.spmv import SPMV
 from repro.kernels.base import UnsupportedKernelError
-from repro.kernels.registry import default_kernels, make_kernel
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.generators import power_law_matrix
 
@@ -74,7 +74,7 @@ def main() -> None:
           f"(selection overhead {decision.overhead_ms:.3f} ms)")
 
     totals = {}
-    for kernel in default_kernels(include_rocsparse=True):
+    for kernel in SPMV.default_kernels():
         try:
             totals[kernel.name] = kernel.timing(graph).total_ms(PAGERANK_ITERATIONS)
         except UnsupportedKernelError:
@@ -90,7 +90,7 @@ def main() -> None:
     )
     print(f"  worst fixed    : {finite_worst:10.3f} ms ({worst})")
 
-    kernel = make_kernel(decision.kernel_name)
+    kernel = SPMV.make_kernel(decision.kernel_name)
     rank = pagerank(graph, kernel, PAGERANK_ITERATIONS)
     top = np.argsort(rank)[::-1][:5]
     print("\ntop-5 pages by PageRank:")

@@ -25,8 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro import run_sweep
+from repro.domains.spmv import SPMV
 from repro.kernels.base import UnsupportedKernelError
-from repro.kernels.registry import default_kernels, make_kernel
 from repro.sparse.collection import archetype
 
 #: Iteration counts compared by the example.
@@ -77,10 +77,10 @@ def main() -> None:
     print(f"matrix: {record.name} (diagonally shifted)  "
           f"rows={matrix.num_rows:,}  nnz={matrix.nnz:,}\n")
 
-    kernels = default_kernels(include_rocsparse=True)
+    kernels = SPMV.default_kernels()
     for iterations in ITERATION_COUNTS:
         decision = predictor.predict(matrix, iterations=iterations, name=record.name)
-        selected = make_kernel(decision.kernel_name)
+        selected = SPMV.make_kernel(decision.kernel_name)
         selected_timing = selected.timing(matrix)
         selected_total = decision.overhead_ms + selected_timing.total_ms(iterations)
 
@@ -102,7 +102,7 @@ def main() -> None:
     # Demonstrate that the numerics are real: run a short solve with the
     # kernel selected for the multi-iteration case.
     decision = predictor.predict(matrix, iterations=ITERATION_COUNTS[-1], name=record.name)
-    kernel = make_kernel(decision.kernel_name)
+    kernel = SPMV.make_kernel(decision.kernel_name)
     x = jacobi_sweeps(matrix, diagonal, b, 25, kernel)
     residual = np.linalg.norm(b - matrix.spmv(x)) / np.linalg.norm(b)
     print(f"\n25 Jacobi sweeps with {decision.kernel_name}: relative residual {residual:.2e}")

@@ -45,7 +45,6 @@ from repro.domains import (
     register_domain,
 )
 from repro.gpu import MI100, DeviceSpec, get_device
-from repro.kernels import default_kernels, make_kernel
 from repro.ml import DecisionTreeClassifier, kendall_tau
 from repro.pipeline import (
     FeatureBundle,
@@ -64,7 +63,6 @@ from repro.sparse import (
     COOMatrix,
     CSRMatrix,
     ELLMatrix,
-    build_collection,
     gathered_features,
     known_features,
 )
@@ -97,8 +95,6 @@ __all__ = [
     "MI100",
     "DeviceSpec",
     "get_device",
-    "default_kernels",
-    "make_kernel",
     "DecisionTreeClassifier",
     "kendall_tau",
     "FeatureBundle",
@@ -113,7 +109,6 @@ __all__ = [
     "COOMatrix",
     "CSRMatrix",
     "ELLMatrix",
-    "build_collection",
     "gathered_features",
     "known_features",
     "__version__",

@@ -133,10 +133,6 @@ def stable_hash(payload: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:24]
 
 
-#: Backward-compatible alias of :func:`stable_hash`.
-_stable_hash = stable_hash
-
-
 def measurement_key(spec, kernel_labels, device: DeviceSpec, domain=None) -> str:
     """Cache key of one workload measurement.
 
@@ -145,7 +141,7 @@ def measurement_key(spec, kernel_labels, device: DeviceSpec, domain=None) -> str
     parameters can never collide.
     """
     domain = get_domain(domain)
-    return _stable_hash(
+    return stable_hash(
         {
             "format": CACHE_FORMAT_VERSION,
             "code": code_version(),
@@ -165,7 +161,7 @@ def matrix_key(spec, domain=None) -> str:
     and the ``repro.sparse`` generator code.
     """
     domain = get_domain(domain)
-    return _stable_hash(
+    return stable_hash(
         {
             "format": CACHE_FORMAT_VERSION,
             "generators": generator_code_version(),
@@ -205,7 +201,7 @@ def sweep_config_key(
     names never collide.
     """
     domain = get_domain(domain)
-    return _stable_hash(
+    return stable_hash(
         {
             "format": CACHE_FORMAT_VERSION,
             "code": code_version(),
@@ -337,9 +333,7 @@ def _measure_spec_chunk(
         else:
             matrix_hits += 1
         workload = domain.workload_from_matrix(spec, matrix)
-        measurements.append(
-            measure_matrix(spec.name, workload, kernels, pipeline, domain=domain)
-        )
+        measurements.append(measure_matrix(spec.name, workload, kernels, pipeline))
     return measurements, generated, matrix_hits
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from repro.bench.oracle import OraclePredictor
 from repro.core.dataset import TrainingDataset, TrainingSample
-from repro.core.inference import TREE_EVALUATION_MS, SeerPredictor
+from repro.core.inference import TREE_EVALUATION_MS
 from repro.core.training import USE_GATHERED, USE_KNOWN, SeerModels
 from repro.ml.metrics import accuracy_score, geometric_mean
 
@@ -231,49 +231,17 @@ def _assemble_row(
     )
 
 
-def _evaluate_sample(
-    sample: TrainingSample, models: SeerModels, oracle: OraclePredictor
-) -> ApproachTimes:
-    """Scalar reference: one sample through the recursive tree walks.
-
-    Kept as the auditable per-sample path; :func:`evaluate_dataset` uses
-    the vectorized batch path by default, and the differential tests assert
-    the two produce identical rows.
-    """
-    return _assemble_row(
-        sample,
-        oracle,
-        known_kernel=models.predict_known(sample.known_vector),
-        gathered_kernel=models.predict_gathered(
-            sample.known_vector, sample.gathered_vector
-        ),
-        selector_choice=models.predict_selector(sample.known_vector),
-    )
-
-
-def evaluate_dataset(
-    dataset: TrainingDataset,
-    models: SeerModels,
-    predictor: SeerPredictor = None,
-    vectorized: bool = True,
-) -> EvaluationReport:
+def evaluate_dataset(dataset: TrainingDataset, models: SeerModels) -> EvaluationReport:
     """Evaluate the three predictors and every kernel over ``dataset``.
 
-    By default the three decision trees are evaluated over the whole
-    dataset in one compiled batch pass (:meth:`SeerModels.predict_batch`)
-    instead of three recursive Python walks per sample; pass
-    ``vectorized=False`` to force the scalar reference path.  Both paths
-    produce bit-identical reports.
-
-    ``predictor`` is accepted for backward compatibility and ignored: the
-    evaluation consults ``models`` directly (it always has — the paths are
-    replayed from the sweep's measurements, never re-collected).
+    The three decision trees are evaluated over the whole dataset in one
+    compiled batch pass (:meth:`SeerModels.predict_batch`); the paths are
+    replayed from the sweep's measurements, never re-collected.
     """
-    del predictor
+    kernel_names = list(dataset.kernel_names)
+    if len(dataset) == 0:
+        return EvaluationReport(kernel_names=kernel_names, rows=[])
     oracle = OraclePredictor()
-    if not vectorized or len(dataset) == 0:
-        rows = [_evaluate_sample(sample, models, oracle) for sample in dataset]
-        return EvaluationReport(kernel_names=list(dataset.kernel_names), rows=rows)
     batch = models.predict_batch(dataset.known_matrix(), dataset.gathered_matrix())
     rows = [
         _assemble_row(
@@ -285,4 +253,4 @@ def evaluate_dataset(
         )
         for index, sample in enumerate(dataset)
     ]
-    return EvaluationReport(kernel_names=list(dataset.kernel_names), rows=rows)
+    return EvaluationReport(kernel_names=kernel_names, rows=rows)

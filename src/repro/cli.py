@@ -16,9 +16,7 @@ the pipeline stages, the model registry and the experiment suite:
    repro experiments list                          # registered experiments
    repro experiments run --all --domain spmv --profile tiny --out-dir out/
    repro experiments run fig1 table3 --domain spmm --profile tiny
-   repro fig1                                      # legacy per-figure entry
-   repro fig5 --profile full                       # Fig. 5 a-d
-   repro accuracy                                  # Section IV-C numbers
+   repro experiments run fig5 --profile full       # Fig. 5 a-d
 
 ``--jobs`` fans the benchmarking stage out over worker processes and
 ``--cache-dir`` persists per-matrix measurements and whole sweep artifacts,
@@ -610,21 +608,6 @@ def _cmd_experiments_run(args) -> int:
     return 0
 
 
-def _cmd_experiment(name: str):
-    """Legacy single-experiment command (``repro fig1`` etc.)."""
-
-    def command(args) -> int:
-        context = ExperimentContext(
-            profile=getattr(args, "profile", DEFAULT_PROFILE),
-            engine=_resolve_engine(args),
-        )
-        result = run_experiment(name, context)
-        print(result.render())
-        return 0
-
-    return command
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -931,22 +914,6 @@ def build_parser() -> argparse.ArgumentParser:
         "servable later via 'repro predict' or ExperimentContext.models()",
     )
     run_parser.set_defaults(func=_cmd_experiments_run)
-
-    legacy = {
-        "fig1": (True, "fastest-kernel-per-matrix survey (Fig. 1)"),
-        "fig5": (True, "single-iteration predictor comparison (Fig. 5)"),
-        "fig6": (False, "feature-collection cost sweep (Fig. 6)"),
-        "fig7": (True, "multi-iteration amortization study (Fig. 7)"),
-        "table1": (False, "capability comparison (Table I)"),
-        "table3": (True, "Kendall correlations (Table III)"),
-        "accuracy": (True, "model accuracies (Section IV-C)"),
-    }
-    for name, (needs_profile, help_text) in legacy.items():
-        sub_parser = sub.add_parser(name, help=help_text)
-        if needs_profile:
-            _add_profile(sub_parser)
-        _add_engine_options(sub_parser)
-        sub_parser.set_defaults(func=_cmd_experiment(name))
     return parser
 
 

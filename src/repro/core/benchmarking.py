@@ -191,31 +191,10 @@ class BenchmarkSuite:
         )
 
 
-def _as_pipeline(features, domain):
-    """Coerce a pipeline-or-collector argument to a FeaturePipeline.
-
-    ``measure_matrix`` historically took a bare collector; both are still
-    accepted so older call sites keep working, but either way extraction
-    runs through the one shared :class:`~repro.pipeline.FeaturePipeline`.
-    """
-    from repro.pipeline import FeaturePipeline
-
-    if isinstance(features, FeaturePipeline):
-        return features
-    return FeaturePipeline(domain=domain, collector=features)
-
-
-def measure_matrix(
-    name,
-    workload,
-    kernels,
-    pipeline,
-    domain=None,
-) -> MatrixMeasurement:
+def measure_matrix(name, workload, kernels, pipeline) -> MatrixMeasurement:
     """Benchmark one workload on every kernel and collect its features.
 
-    ``pipeline`` is the domain's :class:`~repro.pipeline.FeaturePipeline`
-    (a bare feature collector is also accepted for backward compatibility).
+    ``pipeline`` is the domain's :class:`~repro.pipeline.FeaturePipeline`.
 
     Every kernel and the feature collector share one
     :class:`~repro.kernels.base.LaunchContext`, and all launches are
@@ -225,8 +204,6 @@ def measure_matrix(
     """
     from repro.kernels.base import LaunchContext, batch_timings
 
-    domain = get_domain(domain)
-    pipeline = _as_pipeline(pipeline, domain)
     context = LaunchContext.of(workload)
     timings = batch_timings(kernels, workload, context=context)
     runtime = {}
@@ -282,13 +259,7 @@ def run_benchmark_suite(
         kernels = domain.default_kernels(device)
     pipeline = domain.make_pipeline(device)
     measurements = [
-        measure_matrix(
-            record.name,
-            record.matrix,
-            kernels,
-            pipeline,
-            domain=domain,
-        )
+        measure_matrix(record.name, record.matrix, kernels, pipeline)
         for record in records
     ]
     return BenchmarkSuite(

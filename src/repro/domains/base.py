@@ -335,16 +335,6 @@ class ProblemDomain:
     # ------------------------------------------------------------------
     # Kernel registry
     # ------------------------------------------------------------------
-    def _populate_kernels(self) -> None:
-        """Hook for domains that register their kernels lazily.
-
-        Called before the first kernel lookup; the default does nothing
-        (kernels registered at module import time, the common case)."""
-
-    def _ensure_kernels(self) -> None:
-        if not self._kernel_classes:
-            self._populate_kernels()
-
     def register_kernel(self, cls=None, *, aux: bool = False):
         """Register a kernel class under its ``name`` label.
 
@@ -379,12 +369,10 @@ class ProblemDomain:
     @property
     def kernel_classes(self) -> dict:
         """Registered kernel classes keyed by label, in registration order."""
-        self._ensure_kernels()
         return dict(self._kernel_classes)
 
     def kernel_names(self, include_aux: bool = True) -> tuple:
         """Kernel labels in registration (paper) order."""
-        self._ensure_kernels()
         return tuple(
             name
             for name in self._kernel_classes
@@ -398,7 +386,6 @@ class ProblemDomain:
         are returned unchanged, so call sites can uniformly accept either.
         Unknown labels raise :class:`KeyError` with close-match suggestions.
         """
-        self._ensure_kernels()
         if not isinstance(kernel, str):
             if hasattr(kernel, "timing") and hasattr(kernel, "name"):
                 return kernel

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.domains.base import FeatureField, GatheredFeatureRow, ProblemDomain
+from repro.domains.registry import register_domain
 from repro.gpu.device import MI100, DeviceSpec
 from repro.gpu.memory import INDEX_BYTES, VALUE_BYTES
 from repro.gpu.simulator import LaunchResult, LaunchSpec, simulate_launch
@@ -532,7 +533,8 @@ class SpmmDomain(ProblemDomain):
     #: Dense block width of the default cost-scaling workloads.
     scaling_num_vectors = 8
 
-    def _populate_kernels(self) -> None:
+    def __init__(self):
+        super().__init__()
         for kernel_cls in (
             SpmmThreadMapped,
             SpmmRowWaveMapped,
@@ -633,7 +635,4 @@ class SpmmDomain(ProblemDomain):
 
 #: The registered ``"spmm"`` domain singleton.
 SPMM = SpmmDomain()
-
-from repro.domains.registry import register_domain  # noqa: E402
-
 register_domain(SPMM)

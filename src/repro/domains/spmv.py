@@ -1,14 +1,13 @@
 """The SpMV case-study domain (Table II of the paper), as a plugin.
 
-This re-registers the original reproduction — the eight SpMV kernel
-variants plus rocSPARSE, the row-density gathered features and the synthetic
-SuiteSparse-like collection — as the default ``"spmv"`` domain.  The legacy
-entry points (:func:`repro.kernels.registry.make_kernel`,
-``run_sweep(profile=...)``, ``seer(...)``) are thin shims over this domain
-and produce bit-identical results to the pre-domain pipeline: the feature
-objects are still the :class:`~repro.sparse.features.KnownFeatures` /
+This registers the original reproduction — the eight SpMV kernel variants
+plus rocSPARSE, the row-density gathered features and the synthetic
+SuiteSparse-like collection — as the default ``"spmv"`` domain.  The feature
+objects are the :class:`~repro.sparse.features.KnownFeatures` /
 :class:`~repro.sparse.features.GatheredFeatures` dataclasses and the kernel
-registration order is the paper order.
+registration order is the paper order.  Kernels are looked up through the
+domain: ``SPMV.make_kernel``, ``SPMV.default_kernels`` and
+``SPMV.kernel_names``.
 """
 
 from __future__ import annotations
@@ -21,7 +20,16 @@ from repro.domains.base import (
     FeatureField,
     ProblemDomain,
 )
+from repro.domains.registry import register_domain
 from repro.gpu.device import MI100, DeviceSpec
+from repro.kernels.coo_warp import CooWarpMapped
+from repro.kernels.csr_adaptive import CsrAdaptive, RocSparseAdaptive
+from repro.kernels.csr_block import CsrBlockMapped
+from repro.kernels.csr_merge import CsrMergePath, CsrWorkOriented
+from repro.kernels.csr_scalar import CsrThreadMapped
+from repro.kernels.csr_vector import CsrWarpMapped
+from repro.kernels.ell_thread import EllThreadMapped
+from repro.kernels.feature_kernels import FeatureCollector
 from repro.sparse import collection as sparse_collection
 from repro.sparse.features import GatheredFeatures, KnownFeatures, known_features
 
@@ -47,20 +55,9 @@ class SpmvDomain(ProblemDomain):
     #: The paper's Fig. 6 compares collection cost against CSR,BM.
     feature_cost_kernel = "CSR,BM"
 
-    # ------------------------------------------------------------------
-    # Kernels — registered lazily to keep repro.domains importable without
-    # triggering the repro.kernels package (which shims back onto this
-    # domain); the order is the paper order of Table II / Fig. 5.
-    # ------------------------------------------------------------------
-    def _populate_kernels(self) -> None:
-        from repro.kernels.coo_warp import CooWarpMapped
-        from repro.kernels.csr_adaptive import CsrAdaptive, RocSparseAdaptive
-        from repro.kernels.csr_block import CsrBlockMapped
-        from repro.kernels.csr_merge import CsrMergePath, CsrWorkOriented
-        from repro.kernels.csr_scalar import CsrThreadMapped
-        from repro.kernels.csr_vector import CsrWarpMapped
-        from repro.kernels.ell_thread import EllThreadMapped
-
+    def __init__(self):
+        super().__init__()
+        # Paper order of Table II / Fig. 5; rocSPARSE is the vendor reference.
         for kernel_cls in (
             CsrAdaptive,
             CsrBlockMapped,
@@ -116,10 +113,6 @@ class SpmvDomain(ProblemDomain):
         return GatheredFeatures(**payload)
 
     def make_collector(self, device: DeviceSpec = MI100):
-        # Imported lazily for the same reason as the kernels: the collector
-        # lives in the repro.kernels package, which shims onto this domain.
-        from repro.kernels.feature_kernels import FeatureCollector
-
         return FeatureCollector(device)
 
     # ------------------------------------------------------------------
@@ -146,10 +139,4 @@ class SpmvDomain(ProblemDomain):
 
 #: The registered ``"spmv"`` domain singleton.
 SPMV = SpmvDomain()
-
-# Registered here (not in repro.domains.__init__) so the domain is resolvable
-# the moment this module finishes importing — repro.kernels shims onto it and
-# may be imported while repro.domains is still initializing.
-from repro.domains.registry import register_domain  # noqa: E402
-
 register_domain(SPMV)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.common import DEFAULT_PROFILE, format_table, resolve_sweep
+from repro.experiments.common import format_table
 from repro.experiments.registry import ExperimentArtifact, register_experiment
 
 
@@ -80,9 +80,8 @@ class AccuracyResult:
         )
 
 
-def run_accuracy_table(profile: str = DEFAULT_PROFILE, sweep=None) -> AccuracyResult:
+def run_accuracy_table(sweep) -> AccuracyResult:
     """Compute the three predictor accuracies on the held-out split."""
-    sweep = resolve_sweep(sweep, profile)
     report = sweep.test_report
     return AccuracyResult(
         known_accuracy=report.accuracy("Known"),
@@ -103,4 +102,4 @@ def run_accuracy_table(profile: str = DEFAULT_PROFILE, sweep=None) -> AccuracyRe
     "on the held-out test split",
 )
 def _accuracy_experiment(context) -> AccuracyResult:
-    return run_accuracy_table(profile=context.profile, sweep=context.sweep())
+    return run_accuracy_table(context.sweep())

@@ -1,70 +1,16 @@
 """Shared infrastructure for the experiment drivers.
 
-The per-process sweep cache here serves the legacy free-function entry
-points (``run_fig1(profile=...)`` and friends).  Suite-level runs go through
-:class:`repro.experiments.registry.ExperimentContext`, which additionally
-resolves a domain and shares one sweep across every experiment of a run.
+Every sweep-based driver takes the :class:`~repro.bench.runner.SweepResult`
+it reports on; :class:`repro.experiments.registry.ExperimentContext` runs
+that sweep once per suite and shares it across every experiment of a run.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from repro.bench.engine import engine_from_env
-from repro.bench.runner import SweepResult, run_sweep
-
-#: Default collection profile used by the experiment drivers.  ``medium`` is
+#: Default collection profile of an experiment suite run.  ``medium`` is
 #: large enough to leave the launch-overhead-dominated regime; the benchmark
 #: harness upgrades the headline experiments to ``full``.
 DEFAULT_PROFILE = "medium"
-
-_default_engine = None
-_engine_initialized = False
-
-
-def set_default_engine(engine) -> None:
-    """Route every subsequent :func:`get_sweep` through ``engine``.
-
-    Pass ``None`` to force the plain serial path.  The CLI calls this once at
-    startup with the engine built from ``--jobs``/``--cache-dir``.
-    """
-    global _default_engine, _engine_initialized
-    _default_engine = engine
-    _engine_initialized = True
-
-
-def default_engine():
-    """Engine shared by the experiment drivers.
-
-    Unless overridden via :func:`set_default_engine`, it is built lazily
-    from the ``SEER_JOBS``/``SEER_CACHE_DIR`` environment variables and is
-    ``None`` (serial path) when neither is set.
-    """
-    global _default_engine, _engine_initialized
-    if not _engine_initialized:
-        _default_engine = engine_from_env()
-        _engine_initialized = True
-    return _default_engine
-
-
-@lru_cache(maxsize=4)
-def get_sweep(profile: str = DEFAULT_PROFILE) -> SweepResult:
-    """Run (once) and cache the end-to-end pipeline for a profile.
-
-    Every experiment driver shares the same sweep per profile so the
-    benchmarking work is not repeated for each table/figure.  With a default
-    engine configured, the sweep is additionally shared *across* processes
-    through the engine's on-disk cache and its benchmarking stage runs on
-    worker processes.
-    """
-    return run_sweep(profile=profile, engine=default_engine())
-
-
-def resolve_sweep(sweep, profile: str) -> SweepResult:
-    """Return ``sweep`` if given, otherwise the cached sweep for ``profile``."""
-    if sweep is not None:
-        return sweep
-    return get_sweep(profile)
 
 
 def format_table(headers, rows) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.experiments.common import DEFAULT_PROFILE, format_table, resolve_sweep
+from repro.experiments.common import format_table
 from repro.experiments.registry import ExperimentArtifact, register_experiment
 
 
@@ -73,9 +73,8 @@ class Fig1Result:
         )
 
 
-def run_fig1(profile: str = DEFAULT_PROFILE, sweep=None) -> Fig1Result:
-    """Regenerate the Fig. 1 series on the synthetic collection."""
-    sweep = resolve_sweep(sweep, profile)
+def run_fig1(sweep) -> Fig1Result:
+    """Regenerate the Fig. 1 series from a sweep's benchmark suite."""
     result = Fig1Result()
     for measurement in sweep.suite:
         winner = measurement.fastest_kernel(iterations=1)
@@ -97,4 +96,4 @@ def run_fig1(profile: str = DEFAULT_PROFILE, sweep=None) -> Fig1Result:
     description="one point per workload: nonzeros, winning kernel, winning runtime",
 )
 def _fig1_experiment(context) -> Fig1Result:
-    return run_fig1(profile=context.profile, sweep=context.sweep())
+    return run_fig1(context.sweep())

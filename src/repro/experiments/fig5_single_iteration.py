@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bench.evaluation import EvaluationReport
-from repro.experiments.common import DEFAULT_PROFILE, format_table, resolve_sweep
+from repro.domains.spmv import SPMV
+from repro.experiments.common import format_table
 from repro.experiments.registry import ExperimentArtifact, register_experiment
 from repro.kernels.base import UnsupportedKernelError
-from repro.kernels.registry import default_kernels
 from repro.sparse.collection import archetype
 from repro.sparse.features import known_features
 
@@ -126,7 +126,7 @@ def _study_for_matrix(record, sweep) -> Fig5MatrixStudy:
     """Build the per-matrix bars (predictors first, then every kernel)."""
     matrix = record.matrix
     device = sweep.predictor.device
-    kernels = default_kernels(device, include_rocsparse=False)
+    kernels = SPMV.default_kernels(device, include_aux=False)
     timings = {}
     for kernel in kernels:
         try:
@@ -193,11 +193,8 @@ def _single_iteration_report(report: EvaluationReport) -> EvaluationReport:
     )
 
 
-def run_fig5(
-    profile: str = DEFAULT_PROFILE, sweep=None, include_studies: bool = True
-) -> Fig5Result:
+def run_fig5(sweep, include_studies: bool = True) -> Fig5Result:
     """Regenerate Fig. 5: three per-matrix studies plus the aggregate."""
-    sweep = resolve_sweep(sweep, profile)
     result = Fig5Result()
     if include_studies:
         for name, scale in FIG5_MATRICES.items():
@@ -225,7 +222,5 @@ def _fig5_experiment(context) -> Fig5Result:
     # The three per-matrix studies are built from named SpMV archetypes; for
     # every other domain the aggregate panel (Fig. 5d) is what generalizes.
     return run_fig5(
-        profile=context.profile,
-        sweep=context.sweep(),
-        include_studies=context.domain.name == "spmv",
+        context.sweep(), include_studies=context.domain.name == "spmv"
     )

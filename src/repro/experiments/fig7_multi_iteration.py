@@ -22,10 +22,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.experiments.common import DEFAULT_PROFILE, format_table, resolve_sweep
+from repro.domains.spmv import SPMV
+from repro.experiments.common import format_table
 from repro.experiments.registry import ExperimentArtifact, register_experiment
 from repro.kernels.base import UnsupportedKernelError
-from repro.kernels.registry import default_kernels
 from repro.sparse.collection import archetype
 
 #: Archetypes of the Fig. 7 matrices and their generation scales.
@@ -140,7 +140,7 @@ class Fig7Result:
 def _case_for(record, iterations: int, sweep) -> Fig7Case:
     matrix = record.matrix
     device = sweep.predictor.device
-    kernels = default_kernels(device, include_rocsparse=True)
+    kernels = SPMV.default_kernels(device)
     totals = {}
     for kernel in kernels:
         try:
@@ -182,9 +182,8 @@ def _case_for(record, iterations: int, sweep) -> Fig7Case:
     )
 
 
-def run_fig7(profile: str = DEFAULT_PROFILE, sweep=None, scales=None) -> Fig7Result:
+def run_fig7(sweep, scales=None) -> Fig7Result:
     """Regenerate the Fig. 7 multi-iteration amortization study."""
-    sweep = resolve_sweep(sweep, profile)
     scales = scales or FIG7_MATRICES
     result = Fig7Result()
     for name, scale in scales.items():
@@ -202,4 +201,4 @@ def run_fig7(profile: str = DEFAULT_PROFILE, sweep=None, scales=None) -> Fig7Res
     "matrices amortize a preprocessing stage",
 )
 def _fig7_experiment(context) -> Fig7Result:
-    return run_fig7(profile=context.profile, sweep=context.sweep())
+    return run_fig7(context.sweep())

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 from repro.core.dataset import TrainingSample
 from repro.core.inference import SeerPredictor
 from repro.core.training import USE_GATHERED, USE_KNOWN
+from repro.domains.spmv import SPMV
 from repro.experiments.common import format_table
 from repro.experiments.registry import ExperimentArtifact, register_experiment
 from repro.kernels.feature_kernels import FeatureCollector
-from repro.kernels.registry import KERNEL_CLASSES
 from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.sparse.features import KNOWN_FEATURE_NAMES
 
@@ -91,10 +91,10 @@ def _verify_capabilities() -> dict:
         and hasattr(SeerPredictor, "predict"),
         # The abstraction is not SpMV-specific: kernels are pluggable classes
         # behind a registry and the trainer only sees runtime/feature tables.
-        "General Abstraction": len(KERNEL_CLASSES) >= 2,
-        "Sparse Case Study": {"CSR,TM", "COO,WM", "ELL,TM"} <= set(KERNEL_CLASSES),
+        "General Abstraction": len(SPMV.kernel_classes) >= 2,
+        "Sparse Case Study": {"CSR,TM", "COO,WM", "ELL,TM"} <= set(SPMV.kernel_classes),
         "Compressed Formats": len(
-            {cls.sparse_format for cls in KERNEL_CLASSES.values()}
+            {cls.sparse_format for cls in SPMV.kernel_classes.values()}
         ) >= 3,
         # Decision trees can be printed as if/else text and exported as code.
         "Explainability": hasattr(DecisionTreeClassifier, "export_text"),

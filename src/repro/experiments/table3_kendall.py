@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.domains.base import ITERATIONS_FIELD
-from repro.experiments.common import DEFAULT_PROFILE, format_table, resolve_sweep
+from repro.experiments.common import format_table
 from repro.experiments.registry import ExperimentArtifact, register_experiment
 from repro.ml.kendall import kendall_tau
 
@@ -101,14 +101,13 @@ class Table3Result:
         )
 
 
-def run_table3(profile: str = DEFAULT_PROFILE, sweep=None) -> Table3Result:
-    """Compute the Table III correlations on the synthetic collection.
+def run_table3(sweep) -> Table3Result:
+    """Compute the Table III correlations over a sweep's benchmark suite.
 
     As in the paper, the statistic relates single-iteration kernel runtimes
     to the matrix features; the absolute value of tau is reported (the sign
     only encodes whether runtime grows or shrinks with the feature).
     """
-    sweep = resolve_sweep(sweep, profile)
     measurements = list(sweep.suite)
     feature_names = table3_feature_names(sweep)
     result = Table3Result(feature_names=feature_names)
@@ -135,4 +134,4 @@ def run_table3(profile: str = DEFAULT_PROFILE, sweep=None) -> Table3Result:
     "domain's known/gathered features",
 )
 def _table3_experiment(context) -> Table3Result:
-    return run_table3(profile=context.profile, sweep=context.sweep())
+    return run_table3(context.sweep())

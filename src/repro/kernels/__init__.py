@@ -5,6 +5,10 @@ schedule and exposes numeric execution, per-iteration timing on the
 simulated GPU, and (where applicable) a preprocessing stage.  The
 :mod:`repro.kernels.feature_kernels` module provides the parallel
 feature-collection kernels whose cost the classifier-selection model weighs.
+
+The kernels are registered with the ``"spmv"`` problem domain; look them up
+through it (``SPMV.make_kernel``, ``SPMV.default_kernels``,
+``SPMV.kernel_names``) from :mod:`repro.domains.spmv`.
 """
 
 from repro.kernels.base import (
@@ -21,24 +25,6 @@ from repro.kernels.csr_scalar import CsrThreadMapped
 from repro.kernels.csr_vector import CsrWarpMapped
 from repro.kernels.ell_thread import EllThreadMapped
 from repro.kernels.feature_kernels import FeatureCollectionResult, FeatureCollector
-from repro.kernels.registry import (
-    default_kernels,
-    kernel_names,
-    make_kernel,
-)
-
-#: Registry constants re-exported lazily (PEP 562): they are views of the
-#: ``"spmv"`` domain's kernel registry, and resolving them eagerly here would
-#: import ``repro.domains`` during this package's own initialization.
-_REGISTRY_CONSTANTS = ("ALL_KERNEL_NAMES", "FIG5_KERNEL_NAMES", "KERNEL_CLASSES")
-
-
-def __getattr__(name: str):
-    if name in _REGISTRY_CONSTANTS:
-        from repro.kernels import registry
-
-        return getattr(registry, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "KernelTiming",
@@ -56,10 +42,4 @@ __all__ = [
     "EllThreadMapped",
     "FeatureCollectionResult",
     "FeatureCollector",
-    "ALL_KERNEL_NAMES",
-    "FIG5_KERNEL_NAMES",
-    "KERNEL_CLASSES",
-    "default_kernels",
-    "kernel_names",
-    "make_kernel",
 ]

@@ -34,9 +34,7 @@ from repro.sparse.collection import (
     CollectionProfile,
     MatrixRecord,
     MatrixSpec,
-    SyntheticCollection,
     archetype,
-    build_collection,
     collection_specs,
     iter_collection,
 )
@@ -66,9 +64,7 @@ __all__ = [
     "CollectionProfile",
     "MatrixRecord",
     "MatrixSpec",
-    "SyntheticCollection",
     "archetype",
-    "build_collection",
     "collection_specs",
     "iter_collection",
     "read_matrix_market",

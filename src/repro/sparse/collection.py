@@ -16,13 +16,13 @@ the individual SuiteSparse matrices discussed in Figures 5 and 7 of the
 paper (nlpkkt200, matrix-new_3, Ga41As41H72, CurlCurl_3, G3_Circuit, PWTK)
 at a configurable scale.
 
-Large profiles should be consumed through :func:`iter_collection`, which
-builds matrices one at a time so the peak memory stays at a single matrix.
+:func:`iter_collection` builds the matrices one at a time, so the peak
+memory stays at a single matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,35 +129,6 @@ class MatrixRecord:
     matrix: CSRMatrix
 
 
-@dataclass
-class SyntheticCollection:
-    """An ordered, named set of matrices, fully materialized in memory."""
-
-    profile: CollectionProfile
-    records: list = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def names(self) -> list:
-        """Names of every matrix, in collection order."""
-        return [record.name for record in self.records]
-
-    def get(self, name: str) -> MatrixRecord:
-        """Look a matrix up by name."""
-        for record in self.records:
-            if record.name == name:
-                return record
-        raise KeyError(name)
-
-    def families(self) -> set:
-        """The distinct family labels present in the collection."""
-        return {record.family for record in self.records}
-
-
 def _family_specs(size: int, variant: int, seed: int) -> list:
     """Specs for every family at one size/variant point.
 
@@ -257,19 +228,6 @@ def iter_collection(profile="small", base_seed: int = 7):
     """Yield :class:`MatrixRecord` objects one at a time (low peak memory)."""
     for spec in collection_specs(profile, base_seed):
         yield MatrixRecord(name=spec.name, family=spec.family, matrix=spec.build())
-
-
-def build_collection(profile="small", base_seed: int = 7) -> SyntheticCollection:
-    """Build every matrix of a profile into memory.
-
-    Prefer :func:`iter_collection` for the ``medium`` and ``full`` profiles:
-    their largest matrices are tens of megabytes each and only need to exist
-    one at a time during benchmarking.
-    """
-    if isinstance(profile, str):
-        profile = CollectionProfile.from_name(profile)
-    records = list(iter_collection(profile, base_seed))
-    return SyntheticCollection(profile=profile, records=records)
 
 
 # ----------------------------------------------------------------------

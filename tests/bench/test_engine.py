@@ -20,12 +20,12 @@ from repro.bench.runner import run_sweep
 from repro.core.benchmarking import MatrixMeasurement
 from repro.core.dataset import DEFAULT_ITERATION_COUNTS
 from repro.core.training import TrainingConfig
+from repro.domains.spmv import SPMV
 from repro.gpu.device import MI100, SMALL_GPU
-from repro.kernels.registry import kernel_names
 from repro.sparse.collection import collection_specs
 from repro.sparse.features import GatheredFeatures, KnownFeatures
 
-KERNELS = kernel_names()
+KERNELS = SPMV.kernel_names()
 
 
 def _forbid_benchmarking(monkeypatch):

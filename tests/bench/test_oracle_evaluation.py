@@ -93,12 +93,18 @@ def test_accuracy_and_speedup_metrics_are_consistent(tiny_sweep):
 
 
 def test_evaluate_dataset_on_training_split_matches_report(tiny_sweep):
-    rebuilt = evaluate_dataset(tiny_sweep.train_set, tiny_sweep.models, tiny_sweep.predictor)
+    rebuilt = evaluate_dataset(tiny_sweep.train_set, tiny_sweep.models)
     assert len(rebuilt.rows) == len(tiny_sweep.train_set)
     assert rebuilt.kernel_names == tiny_sweep.train_report.kernel_names
     assert rebuilt.aggregate_ms("Selector") == pytest.approx(
         tiny_sweep.train_report.aggregate_ms("Selector")
     )
+
+
+def test_evaluate_dataset_on_an_empty_split_returns_an_empty_report(tiny_sweep):
+    report = evaluate_dataset(tiny_sweep.dataset.subset([]), tiny_sweep.models)
+    assert report.rows == []
+    assert report.kernel_names == list(tiny_sweep.dataset.kernel_names)
 
 
 def test_report_summary_matches_individual_metrics(tiny_sweep):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.bench.runner import TEST_FRACTION, run_sweep
 from repro.core.training import TrainingConfig
-from repro.sparse.collection import build_collection
+from repro.sparse.collection import iter_collection
 
 
 def test_sweep_result_structure(tiny_sweep):
@@ -19,7 +19,7 @@ def test_sweep_result_structure(tiny_sweep):
 
 
 def test_sweep_accepts_prebuilt_collection():
-    collection = build_collection("tiny")
+    collection = list(iter_collection("tiny"))
     sweep = run_sweep(
         collection=collection,
         iteration_counts=(1,),

@@ -11,30 +11,27 @@ from repro.core.benchmarking import (
     run_benchmark_suite,
 )
 from repro.core.dataset import build_training_dataset, sample_from_measurement
-from repro.kernels.feature_kernels import FeatureCollector
-from repro.kernels.registry import default_kernels
-from repro.sparse.collection import build_collection
+from repro.domains.spmv import SPMV
+from repro.sparse.collection import collection_specs, iter_collection
 from repro.sparse.features import gathered_features
 
 
 @pytest.fixture(scope="module")
 def suite():
-    collection = build_collection("tiny")
-    return run_benchmark_suite(collection)
+    return run_benchmark_suite(iter_collection("tiny"))
 
 
 def test_suite_covers_every_matrix_and_kernel(suite):
-    collection = build_collection("tiny")
-    assert len(suite) == len(collection)
-    assert set(suite.names()) == set(collection.names())
+    names = [spec.name for spec in collection_specs("tiny")]
+    assert len(suite) == len(names)
+    assert set(suite.names()) == set(names)
     for measurement in suite:
         assert set(measurement.kernel_runtime_ms) == set(suite.kernel_names)
         assert set(measurement.kernel_preprocessing_ms) == set(suite.kernel_names)
 
 
 def test_measurement_features_match_direct_computation(suite):
-    collection = build_collection("tiny")
-    for record in list(collection)[:5]:
+    for record in list(iter_collection("tiny"))[:5]:
         measurement = suite.get(record.name)
         direct = gathered_features(record.matrix)
         np.testing.assert_allclose(
@@ -83,7 +80,9 @@ def test_measure_matrix_records_unsupported_kernels():
     from repro.sparse.generators import skewed_matrix
 
     matrix = skewed_matrix(300_000, 300_000, 1, 1, 300_000, rng=1)
-    measurement = measure_matrix("extreme", matrix, default_kernels(), FeatureCollector())
+    measurement = measure_matrix(
+        "extreme", matrix, SPMV.default_kernels(), SPMV.make_pipeline()
+    )
     assert math.isinf(measurement.kernel_runtime_ms["ELL,TM"])
     assert math.isfinite(measurement.kernel_runtime_ms["CSR,WO"])
     assert measurement.fastest_kernel(1) != "ELL,TM"

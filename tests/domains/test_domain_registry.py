@@ -1,4 +1,4 @@
-"""Tests for the domain plugin registry and the legacy registry shim."""
+"""Tests for the domain plugin registry."""
 
 import pickle
 
@@ -16,7 +16,6 @@ from repro.domains import (
     unregister_domain,
 )
 from repro.gpu.device import SMALL_GPU
-from repro.kernels import registry as legacy_registry
 from repro.kernels.csr_vector import CsrWarpMapped
 
 
@@ -105,7 +104,6 @@ def test_kernel_without_label_is_rejected():
 def test_make_kernel_accepts_already_instantiated_kernels():
     kernel = CsrWarpMapped(SMALL_GPU)
     assert SPMV.make_kernel(kernel) is kernel
-    assert legacy_registry.make_kernel(kernel) is kernel
     with pytest.raises(TypeError):
         SPMV.make_kernel(12345)
 
@@ -116,29 +114,6 @@ def test_make_kernel_suggests_close_matches():
     message = str(excinfo.value)
     assert "CSR,VM" in message
     assert "did you mean" in message
-
-
-# ----------------------------------------------------------------------
-# Legacy shim equivalence
-# ----------------------------------------------------------------------
-def test_shim_constants_match_domain_registry():
-    assert legacy_registry.KERNEL_CLASSES == SPMV.kernel_classes
-    assert legacy_registry.ALL_KERNEL_NAMES == SPMV.kernel_names()
-    assert legacy_registry.FIG5_KERNEL_NAMES == SPMV.kernel_names(include_aux=False)
-    assert legacy_registry.kernel_names(False) == SPMV.kernel_names(False)
-
-
-def test_shim_make_kernel_matches_domain():
-    via_shim = legacy_registry.make_kernel("CSR,TM", SMALL_GPU)
-    via_domain = SPMV.make_kernel("CSR,TM", SMALL_GPU)
-    assert type(via_shim) is type(via_domain)
-    assert via_shim.device is SMALL_GPU
-
-
-def test_shim_default_kernels_match_domain():
-    shim = [type(k) for k in legacy_registry.default_kernels()]
-    domain = [type(k) for k in SPMV.default_kernels()]
-    assert shim == domain
 
 
 # ----------------------------------------------------------------------

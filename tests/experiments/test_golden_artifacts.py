@@ -4,8 +4,8 @@ Every SpMV experiment's tiny-profile artifact CSV is checked in under
 ``goldens/``; these tests assert byte-stable reproduction through the
 registry, catching silent numeric or formatting drift the structural smoke
 tests cannot see.  They also assert the registry path produces exactly what
-a direct call of the legacy driver functions produces — the port changed
-the plumbing, not the numbers.
+a direct call of the driver functions produces — the registry changes the
+plumbing, not the numbers.
 
 Regenerate the goldens after an *intentional* change with::
 
@@ -63,19 +63,19 @@ def test_spmv_artifact_matches_golden(name, spmv_tiny_context):
 
 
 def test_registry_is_bit_identical_to_legacy_drivers(spmv_tiny_context):
-    """The registry wrappers reproduce the pre-refactor driver outputs."""
+    """The registry wrappers reproduce direct driver calls on the same sweep."""
     context = spmv_tiny_context
     sweep = context.sweep()
 
     from repro.experiments.fig6_feature_cost import row_counts_for_profile
 
     legacy = {
-        "fig1": run_fig1(sweep=sweep),
-        "fig5": run_fig5(sweep=sweep),
-        "fig7": run_fig7(sweep=sweep),
+        "fig1": run_fig1(sweep),
+        "fig5": run_fig5(sweep),
+        "fig7": run_fig7(sweep),
         "table1": run_table1(),
-        "table3": run_table3(sweep=sweep),
-        "accuracy": run_accuracy_table(sweep=sweep),
+        "table3": run_table3(sweep),
+        "accuracy": run_accuracy_table(sweep),
         # The suite scales the fig6 row grid to the profile; the driver
         # itself is unchanged, so the same grid must give the same result.
         "fig6": run_fig6(row_counts=row_counts_for_profile(context.profile)),

@@ -118,7 +118,7 @@ def test_measure_matrix_matches_scalar_reference_spmv(matrix):
     domain = get_domain("spmv")
     kernels = domain.default_kernels()
     pipeline = domain.make_pipeline()
-    measured = measure_matrix("m", matrix, kernels, pipeline, domain=domain)
+    measured = measure_matrix("m", matrix, kernels, pipeline)
     _assert_measurement_matches_scalar(measured, matrix, kernels, pipeline)
 
 
@@ -129,5 +129,5 @@ def test_measure_matrix_matches_scalar_reference_spmm(matrix, num_vectors):
     workload = SpmmWorkload(matrix=matrix, num_vectors=num_vectors)
     kernels = domain.default_kernels()
     pipeline = domain.make_pipeline()
-    measured = measure_matrix("m", workload, kernels, pipeline, domain=domain)
+    measured = measure_matrix("m", workload, kernels, pipeline)
     _assert_measurement_matches_scalar(measured, workload, kernels, pipeline)

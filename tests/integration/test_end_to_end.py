@@ -16,7 +16,7 @@ from repro.core.training import USE_GATHERED, USE_KNOWN
 def test_selector_tracks_oracle_and_beats_fixed_choices(small_sweep):
     """The deployed selector must stay close to the Oracle and never lose to
     always-known / always-gathered by a large margin."""
-    report = evaluate_dataset(small_sweep.dataset, small_sweep.models, small_sweep.predictor)
+    report = evaluate_dataset(small_sweep.dataset, small_sweep.models)
     selector = report.aggregate_ms("Selector")
     assert report.aggregate_ms("Oracle") <= selector
     assert selector <= 1.6 * report.aggregate_ms("Oracle")
@@ -27,7 +27,7 @@ def test_selector_tracks_oracle_and_beats_fixed_choices(small_sweep):
 def test_selector_avoids_every_kernels_worst_case(small_sweep):
     """No individual kernel's aggregate should beat the selector by much,
     and the worst kernels should lose to it decisively (the Fig. 5d story)."""
-    report = evaluate_dataset(small_sweep.dataset, small_sweep.models, small_sweep.predictor)
+    report = evaluate_dataset(small_sweep.dataset, small_sweep.models)
     selector = report.aggregate_ms("Selector")
     kernel_totals = {k: report.aggregate_ms(k) for k in report.kernel_names}
     assert min(kernel_totals.values()) >= 0.85 * selector
@@ -58,13 +58,13 @@ def test_gathered_features_matter_somewhere(small_sweep):
 def test_selector_uses_both_paths(small_sweep):
     """The classifier-selection model must actually route some inputs to each
     of its two sub-models (otherwise it degenerates)."""
-    report = evaluate_dataset(small_sweep.dataset, small_sweep.models, small_sweep.predictor)
+    report = evaluate_dataset(small_sweep.dataset, small_sweep.models)
     choices = {row.selector_choice for row in report.rows}
     assert choices == {USE_KNOWN, USE_GATHERED}
 
 
 def test_known_path_skips_collection_cost(small_sweep):
-    report = evaluate_dataset(small_sweep.dataset, small_sweep.models, small_sweep.predictor)
+    report = evaluate_dataset(small_sweep.dataset, small_sweep.models)
     for row in report.rows:
         if row.selector_choice == USE_KNOWN:
             assert row.selector_overhead_ms < 0.01

@@ -1,20 +1,13 @@
-"""Tests for the kernel registry."""
+"""Tests for the SpMV kernel set registered with the ``"spmv"`` domain."""
 
 import pytest
 
+from repro.domains.spmv import SPMV
 from repro.gpu.device import SMALL_GPU
-from repro.kernels.registry import (
-    ALL_KERNEL_NAMES,
-    FIG5_KERNEL_NAMES,
-    KERNEL_CLASSES,
-    default_kernels,
-    kernel_names,
-    make_kernel,
-)
 
 
 def test_registry_contains_the_table_ii_variants():
-    assert set(FIG5_KERNEL_NAMES) == {
+    assert set(SPMV.kernel_names(include_aux=False)) == {
         "CSR,A",
         "CSR,BM",
         "CSR,MP",
@@ -24,30 +17,34 @@ def test_registry_contains_the_table_ii_variants():
         "COO,WM",
         "ELL,TM",
     }
-    assert "rocSPARSE" in ALL_KERNEL_NAMES
-    assert set(ALL_KERNEL_NAMES) == set(KERNEL_CLASSES)
+    assert "rocSPARSE" in SPMV.kernel_names()
+    assert set(SPMV.kernel_names()) == set(SPMV.kernel_classes)
 
 
 def test_formats_cover_csr_coo_ell():
-    formats = {cls.sparse_format for cls in KERNEL_CLASSES.values()}
+    formats = {cls.sparse_format for cls in SPMV.kernel_classes.values()}
     assert formats == {"CSR", "COO", "ELL"}
 
 
 def test_make_kernel_and_device_propagation():
-    kernel = make_kernel("CSR,WM", SMALL_GPU)
+    kernel = SPMV.make_kernel("CSR,WM", SMALL_GPU)
     assert kernel.device is SMALL_GPU
     with pytest.raises(KeyError):
-        make_kernel("CSR,XYZ")
+        SPMV.make_kernel("CSR,XYZ")
 
 
 def test_default_kernels_order_and_rocsparse_toggle():
-    with_vendor = default_kernels()
-    without_vendor = default_kernels(include_rocsparse=False)
-    assert [k.name for k in with_vendor] == list(ALL_KERNEL_NAMES)
-    assert [k.name for k in without_vendor] == list(FIG5_KERNEL_NAMES)
-    assert kernel_names(include_rocsparse=False) == FIG5_KERNEL_NAMES
+    with_vendor = SPMV.default_kernels()
+    without_vendor = SPMV.default_kernels(include_aux=False)
+    assert [k.name for k in with_vendor] == list(SPMV.kernel_names())
+    assert [k.name for k in without_vendor] == list(SPMV.kernel_names(include_aux=False))
+    # Paper order (Table II / Fig. 5), the vendor reference last.
+    assert SPMV.kernel_names() == (
+        "CSR,A", "CSR,BM", "CSR,MP", "CSR,WM", "CSR,WO", "CSR,TM", "COO,WM", "ELL,TM",
+        "rocSPARSE",
+    )
 
 
 def test_kernel_names_are_unique_labels():
-    names = [cls.name for cls in KERNEL_CLASSES.values()]
+    names = [cls.name for cls in SPMV.kernel_classes.values()]
     assert len(names) == len(set(names))

@@ -9,13 +9,13 @@ import math
 
 import pytest
 
-from repro.kernels.registry import default_kernels, make_kernel
+from repro.domains.spmv import SPMV
 from repro.sparse import generators as gen
 
 
 def _timings(matrix, include_rocsparse=True):
     out = {}
-    for kernel in default_kernels(include_rocsparse=include_rocsparse):
+    for kernel in SPMV.default_kernels(include_aux=include_rocsparse):
         if kernel.supports(matrix):
             out[kernel.name] = kernel.timing(matrix)
     return out
@@ -81,7 +81,7 @@ def test_work_oriented_is_balanced_on_skewed_input(large_skewed):
 
 
 def test_only_adaptive_kernels_have_preprocessing(large_regular):
-    for kernel in default_kernels():
+    for kernel in SPMV.default_kernels():
         timing = kernel.timing(large_regular)
         if kernel.name in ("CSR,A", "rocSPARSE"):
             assert kernel.has_preprocessing
@@ -94,16 +94,16 @@ def test_only_adaptive_kernels_have_preprocessing(large_regular):
 def test_adaptive_preprocessing_scales_with_rows():
     small = gen.power_law_matrix(10_000, 10_000, 8.0, rng=4)
     large = gen.power_law_matrix(200_000, 200_000, 8.0, rng=5)
-    kernel = make_kernel("CSR,A")
+    kernel = SPMV.make_kernel("CSR,A")
     assert kernel.preprocessing_time_ms(large) > 5.0 * kernel.preprocessing_time_ms(small)
 
 
 def test_adaptive_amortizes_on_irregular_matrix_over_many_iterations():
     matrix = gen.power_law_matrix(400_000, 400_000, 12.0, exponent=2.6, rng=6)
-    adaptive = make_kernel("CSR,A").timing(matrix)
+    adaptive = SPMV.make_kernel("CSR,A").timing(matrix)
     others = {
         kernel.name: kernel.timing(matrix)
-        for kernel in default_kernels(include_rocsparse=False)
+        for kernel in SPMV.default_kernels(include_aux=False)
         if kernel.name != "CSR,A" and kernel.supports(matrix)
     }
     best_other_1 = min(t.total_ms(1) for t in others.values())
@@ -121,15 +121,15 @@ def test_adaptive_iteration_time_beats_row_mapped_on_irregular_input(large_skewe
 
 
 def test_rocsparse_has_heavier_analysis_but_fast_iterations(large_skewed):
-    adaptive = make_kernel("CSR,A").timing(large_skewed)
-    vendor = make_kernel("rocSPARSE").timing(large_skewed)
+    adaptive = SPMV.make_kernel("CSR,A").timing(large_skewed)
+    vendor = SPMV.make_kernel("rocSPARSE").timing(large_skewed)
     assert vendor.preprocessing_ms > adaptive.preprocessing_ms
     assert vendor.iteration_ms <= adaptive.iteration_ms * 1.001
 
 
 def test_ell_refuses_pathological_padding():
     matrix = gen.skewed_matrix(500_000, 500_000, 1, 1, 500_000, rng=7)
-    ell = make_kernel("ELL,TM")
+    ell = SPMV.make_kernel("ELL,TM")
     assert not ell.supports(matrix)
     from repro.kernels.base import UnsupportedKernelError
 
@@ -140,11 +140,11 @@ def test_ell_refuses_pathological_padding():
 def test_launch_overhead_floors_small_matrices():
     matrix = gen.regular_matrix(64, 64, 4, rng=8)
     for name, timing in _timings(matrix).items():
-        assert timing.iteration_ms >= make_kernel(name).device.launch_overhead_ms
+        assert timing.iteration_ms >= SPMV.make_kernel(name).device.launch_overhead_ms
 
 
 def test_timing_total_accounts_iterations(large_regular):
-    timing = make_kernel("CSR,A").timing(large_regular)
+    timing = SPMV.make_kernel("CSR,A").timing(large_regular)
     assert timing.total_ms(5) == pytest.approx(
         timing.preprocessing_ms + 5 * timing.iteration_ms
     )

@@ -143,9 +143,7 @@ def test_sweep_and_predictor_share_the_pipeline_path():
     domain = get_domain("spmv")
     workload = power_law_matrix(64, 64, 4.0, rng=3)
     pipeline = domain.make_pipeline()
-    measurement = measure_matrix(
-        "w", workload, domain.default_kernels(), pipeline, domain=domain
-    )
+    measurement = measure_matrix("w", workload, domain.default_kernels(), pipeline)
 
     # The predictor's pipeline is the same implementation; its gathered
     # features (when the selector routes there) must equal the sweep's.

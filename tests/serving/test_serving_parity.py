@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 import repro
-from repro.bench.evaluation import evaluate_dataset
+from repro.bench.evaluation import EvaluationReport, _assemble_row, evaluate_dataset
+from repro.bench.oracle import OraclePredictor
 from repro.core.inference import SeerPredictor
 from repro.experiments.registry import ExperimentContext
 from repro.serving.artifacts import load_models, save_models
@@ -48,10 +49,26 @@ def _report_fingerprint(report):
     )
 
 
+def _scalar_evaluation(dataset, models):
+    """Reference oracle: each sample through the three recursive tree walks."""
+    oracle = OraclePredictor()
+    rows = [
+        _assemble_row(
+            sample,
+            oracle,
+            known_kernel=models.predict_known(sample.known_vector),
+            gathered_kernel=models.predict_gathered(
+                sample.known_vector, sample.gathered_vector
+            ),
+            selector_choice=models.predict_selector(sample.known_vector),
+        )
+        for sample in dataset
+    ]
+    return EvaluationReport(kernel_names=list(dataset.kernel_names), rows=rows)
+
+
 def test_vectorized_evaluation_is_bit_identical_to_scalar(tiny_sweep):
-    scalar = evaluate_dataset(
-        tiny_sweep.dataset, tiny_sweep.models, vectorized=False
-    )
+    scalar = _scalar_evaluation(tiny_sweep.dataset, tiny_sweep.models)
     vectorized = evaluate_dataset(tiny_sweep.dataset, tiny_sweep.models)
     assert _report_fingerprint(vectorized) == _report_fingerprint(scalar)
     assert vectorized.summary() == scalar.summary()
@@ -64,7 +81,7 @@ def test_sweep_reports_use_the_vectorized_path_unchanged(tiny_sweep):
         (tiny_sweep.train_set, tiny_sweep.train_report),
         (tiny_sweep.test_set, tiny_sweep.test_report),
     ):
-        scalar = evaluate_dataset(split, tiny_sweep.models, vectorized=False)
+        scalar = _scalar_evaluation(split, tiny_sweep.models)
         assert _report_fingerprint(report) == _report_fingerprint(scalar)
 
 

@@ -7,7 +7,6 @@ from repro.sparse.collection import (
     ARCHETYPE_BUILDERS,
     CollectionProfile,
     archetype,
-    build_collection,
     collection_specs,
     iter_collection,
 )
@@ -26,26 +25,17 @@ def test_collection_specs_have_unique_names():
     assert len(names) == len(set(names))
 
 
-def test_build_collection_tiny_profile():
-    collection = build_collection("tiny")
-    assert len(collection) == len(collection_specs("tiny"))
-    assert len(collection.families()) >= 8
-    # names resolve back to records
-    first = collection.records[0]
-    assert collection.get(first.name) is first
-    with pytest.raises(KeyError):
-        collection.get("no_such_matrix")
-
-
-def test_iter_collection_matches_build_collection():
-    streamed = {record.name: record.matrix.nnz for record in iter_collection("tiny")}
-    built = {record.name: record.matrix.nnz for record in build_collection("tiny")}
-    assert streamed == built
+def test_iter_collection_tiny_profile():
+    records = list(iter_collection("tiny"))
+    assert [record.name for record in records] == [
+        spec.name for spec in collection_specs("tiny")
+    ]
+    assert len({record.family for record in records}) >= 8
 
 
 def test_collection_is_reproducible():
-    first = build_collection("tiny", base_seed=3)
-    second = build_collection("tiny", base_seed=3)
+    first = list(iter_collection("tiny", base_seed=3))
+    second = list(iter_collection("tiny", base_seed=3))
     for a, b in zip(first, second):
         assert a.name == b.name
         np.testing.assert_array_equal(a.matrix.row_offsets, b.matrix.row_offsets)
@@ -53,8 +43,8 @@ def test_collection_is_reproducible():
 
 
 def test_collection_changes_with_seed():
-    first = build_collection("tiny", base_seed=3)
-    second = build_collection("tiny", base_seed=4)
+    first = list(iter_collection("tiny", base_seed=3))
+    second = list(iter_collection("tiny", base_seed=4))
     different = any(
         a.matrix.nnz != b.matrix.nnz
         or not np.array_equal(a.matrix.col_indices, b.matrix.col_indices)
@@ -64,9 +54,8 @@ def test_collection_changes_with_seed():
 
 
 def test_collection_covers_diverse_structures():
-    collection = build_collection("tiny")
     variances = {}
-    for record in collection:
+    for record in iter_collection("tiny"):
         lengths = record.matrix.row_lengths()
         variances[record.family] = float(lengths.var())
     # at least one essentially uniform family and one strongly irregular one

@@ -4,12 +4,25 @@ import pytest
 
 from repro.cli import build_parser, main
 
+PAPER_EXPERIMENTS = ("fig1", "fig5", "fig6", "fig7", "table1", "table3", "accuracy")
+
 
 def test_parser_knows_every_experiment():
     parser = build_parser()
-    for command in ["sweep", "fig1", "fig5", "fig6", "fig7", "table1", "table3", "accuracy"]:
-        args = parser.parse_args([command] if command in ("table1", "fig6") else [command, "--profile", "tiny"])
+    assert callable(parser.parse_args(["sweep", "--profile", "tiny"]).func)
+    for name in PAPER_EXPERIMENTS:
+        args = parser.parse_args(["experiments", "run", name, "--profile", "tiny"])
+        assert args.names == [name]
         assert callable(args.func)
+
+
+def test_cli_has_no_per_figure_commands(capsys):
+    # Experiments run only through 'repro experiments run NAME'.
+    for name in PAPER_EXPERIMENTS:
+        with pytest.raises(SystemExit) as error:
+            main([name])
+        assert error.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 def test_cli_requires_a_command():
@@ -19,17 +32,17 @@ def test_cli_requires_a_command():
 
 def test_cli_rejects_unknown_profile():
     with pytest.raises(SystemExit):
-        main(["fig1", "--profile", "gigantic"])
+        main(["experiments", "run", "fig1", "--profile", "gigantic"])
 
 
 def test_cli_table1_runs(capsys):
-    assert main(["table1"]) == 0
+    assert main(["experiments", "run", "table1"]) == 0
     output = capsys.readouterr().out
     assert "Table I" in output
 
 
 def test_cli_fig6_runs(capsys):
-    assert main(["fig6"]) == 0
+    assert main(["experiments", "run", "fig6"]) == 0
     output = capsys.readouterr().out
     assert "crossover" in output
 
@@ -44,7 +57,7 @@ def test_cli_sweep_exports_artifacts(tmp_path, capsys):
 
 
 def test_cli_fig1_on_tiny_profile(capsys):
-    assert main(["fig1", "--profile", "tiny"]) == 0
+    assert main(["experiments", "run", "fig1", "--profile", "tiny"]) == 0
     assert "fastest kernel per matrix" in capsys.readouterr().out
 
 
@@ -69,7 +82,9 @@ def test_parser_accepts_scenario_profiles():
 
 def test_experiment_commands_accept_engine_options():
     parser = build_parser()
-    args = parser.parse_args(["fig1", "--profile", "tiny", "--jobs", "2"])
+    args = parser.parse_args(
+        ["experiments", "run", "fig1", "--profile", "tiny", "--jobs", "2"]
+    )
     assert args.jobs == 2
 
 
