@@ -12,15 +12,18 @@ per-request baseline — so the speedup is measured, not assumed.
 Two transports:
 
 * ``inproc`` (default) — clients call :meth:`ServingService.serve_request`
-  directly, i.e. they enter at the admission batcher exactly like an HTTP
-  handler thread would, but without the stdlib HTTP server in the way.
-  Tree inference is microseconds per request; ``http.server``'s
-  per-connection accept/parse cost is milliseconds, so over HTTP the
-  transport dominates and the batching signal drowns.  ``inproc`` is the
-  measurement the regression baseline guards.
-* ``http`` — clients POST to ``/v1/serve`` over real sockets.  Measures
-  end-to-end daemon throughput including the transport; useful as an
-  absolute number, useless for comparing batching policies.
+  directly, i.e. they enter at the admission batcher like an HTTP handler
+  thread would, but without the stdlib HTTP server in the way.  They
+  announce nothing, so a window holds the requests that queued while the
+  previous batch evaluated.  Tree inference is microseconds per request
+  while ``http.server``'s parse and handler-thread cost is about a
+  millisecond, so ``inproc`` shows the batching signal most clearly; it is
+  the measurement the regression baseline guards.
+* ``http`` — clients POST to ``/v1/serve`` over real sockets, one
+  keep-alive connection per client thread (reopened after an error), the
+  way a long-lived client would talk to the daemon.  Measures end-to-end
+  daemon throughput including parsing, the handler thread and JSON on both
+  sides.
 
 The request stream is deterministic: inline-feature requests synthesized
 from the model's own feature schema (seeded RNG), so runs are comparable
@@ -30,10 +33,10 @@ signal.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
-import urllib.request
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,17 +114,38 @@ class LoadReport:
                 "batch_occupancy_mean", 0.0
             ),
             "full_flushes": self.server_metrics.get("full_flushes", 0),
+            "idle_flushes": self.server_metrics.get("idle_flushes", 0),
             "timer_flushes": self.server_metrics.get("timer_flushes", 0),
         }
 
 
-def _post_json(url: str, payload: dict, timeout: float = 60.0) -> dict:
-    data = json.dumps(payload, sort_keys=True).encode("utf-8")
-    request = urllib.request.Request(
-        url, data=data, headers={"Content-Type": "application/json"}
-    )
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        return json.loads(response.read().decode("utf-8"))
+class _HttpClient:
+    """One client thread's keep-alive connection to ``/v1/serve``.
+
+    After a transport error the connection is closed; the next request
+    reopens it.  Non-200 answers raise, so they count as client errors.
+    """
+
+    def __init__(self, address, timeout: float = 60.0):
+        self.connection = http.client.HTTPConnection(*address, timeout=timeout)
+
+    def send(self, payload: dict) -> dict:
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        try:
+            self.connection.request(
+                "POST", "/v1/serve", body, {"Content-Type": "application/json"}
+            )
+            response = self.connection.getresponse()
+            data = response.read()
+        except (OSError, http.client.HTTPException):
+            self.connection.close()
+            raise
+        if response.status != 200:
+            raise RuntimeError(f"/v1/serve answered {response.status}")
+        return json.loads(data.decode("utf-8"))
+
+    def close(self) -> None:
+        self.connection.close()
 
 
 def run_load(
@@ -136,7 +160,8 @@ def run_load(
     The payload list is partitioned round-robin over ``clients`` threads.
     ``transport="inproc"`` submits each request straight into the admission
     batcher (:meth:`ServingService.serve_request`); ``transport="http"``
-    POSTs it to ``/v1/serve`` over a real socket.  Returns the aggregate
+    POSTs it to ``/v1/serve`` over one keep-alive connection per client
+    thread.  Returns the aggregate
     report including the server's own ``/metrics`` snapshot taken right
     before shutdown.
     """
@@ -151,29 +176,31 @@ def run_load(
     try:
         if transport == "http":
             service.start_background()
-            url = service.url + "/v1/serve"
-
-            def send(payload: dict) -> None:
-                _post_json(url, payload)
-
         else:
             requests = [ServeRequest.from_payload(p) for p in payloads]
             by_id = {id(p): r for p, r in zip(payloads, requests)}
-
-            def send(payload: dict) -> None:
-                service.serve_request(by_id[id(payload)])
 
         def client(worker: int) -> None:
             mine = payloads[worker::clients]
             local_latencies = []
             local_errors = 0
-            for payload in mine:
-                started = time.perf_counter()
-                try:
-                    send(payload)
-                except Exception:
-                    local_errors += 1
-                local_latencies.append((time.perf_counter() - started) * 1000.0)
+            http_client = _HttpClient(service.address) if transport == "http" else None
+            try:
+                for payload in mine:
+                    started = time.perf_counter()
+                    try:
+                        if http_client is not None:
+                            http_client.send(payload)
+                        else:
+                            service.serve_request(by_id[id(payload)])
+                    except Exception:
+                        local_errors += 1
+                    local_latencies.append(
+                        (time.perf_counter() - started) * 1000.0
+                    )
+            finally:
+                if http_client is not None:
+                    http_client.close()
             with lock:
                 latencies.extend(local_latencies)
                 errors[0] += local_errors
@@ -269,7 +296,7 @@ def render_bench_serve(result: dict) -> str:
         "p50 ms",
         "p95 ms",
         "occupancy",
-        "full/timer",
+        "full/idle/timer",
     )
     rows = []
     for key in ("batched", "per_request"):
@@ -285,7 +312,8 @@ def render_bench_serve(result: dict) -> str:
                 f"{report['latency_ms_p50']:.2f}",
                 f"{report['latency_ms_p95']:.2f}",
                 f"{report['batch_occupancy_mean']:.2f}",
-                f"{report['full_flushes']}/{report['timer_flushes']}",
+                f"{report['full_flushes']}/{report['idle_flushes']}"
+                f"/{report['timer_flushes']}",
             )
         )
     lines = [f"transport: {result.get('transport', 'inproc')}"]

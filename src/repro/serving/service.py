@@ -21,8 +21,10 @@ The moving parts, stdlib only:
   warm :class:`~repro.pipeline.FeaturePipeline` per domain, for the life of
   the process;
 * :class:`DynamicBatcher` — a condition-variable admission queue: a batch
-  flushes when it reaches ``max_batch_size`` (*full*) or when the window
-  opened by its first request exceeds ``max_wait_ms`` (*timer*);
+  flushes when it reaches ``max_batch_size`` (*full*), when no request
+  the front end has admitted is still being read, so nothing else can
+  join (*idle*), when the window opened by its first request exceeds
+  ``max_wait_ms`` (*timer*, the upper bound), or on shutdown (*drain*);
 * :class:`ServiceMetrics` — lock-guarded counters behind ``GET /metrics``
   and the JSON shutdown summary;
 * :class:`ServingService` — the threaded HTTP server: ``GET /healthz``,
@@ -32,6 +34,12 @@ The moving parts, stdlib only:
   the accept loop, drains in-flight batches, joins handler threads and
   writes ``summary.json`` (plus a ``requests.log`` JSONL) into the
   configured log directory.
+
+No fixed timer sits on the request path.  Each response leaves in one
+socket write with Nagle's algorithm off, so a client never waits out a
+delayed ACK; and a ``POST /v1/serve`` is *admitted* before its body is
+read, so the batcher knows whether another request can still join the
+open window and flushes the moment none can.
 """
 
 from __future__ import annotations
@@ -429,6 +437,7 @@ class ServiceMetrics:
     batch_occupancy_sum: int = 0
     batch_occupancy_max: int = 0
     full_flushes: int = 0
+    idle_flushes: int = 0
     timer_flushes: int = 0
     drain_flushes: int = 0
     latency_ms_sum: float = 0.0
@@ -445,6 +454,8 @@ class ServiceMetrics:
             self.batch_occupancy_max = max(self.batch_occupancy_max, size)
             if reason == "full":
                 self.full_flushes += 1
+            elif reason == "idle":
+                self.idle_flushes += 1
             elif reason == "timer":
                 self.timer_flushes += 1
             else:
@@ -511,6 +522,7 @@ class ServiceMetrics:
                 ),
                 "batch_occupancy_max": self.batch_occupancy_max,
                 "full_flushes": self.full_flushes,
+                "idle_flushes": self.idle_flushes,
                 "timer_flushes": self.timer_flushes,
                 "drain_flushes": self.drain_flushes,
                 "latency_ms_mean": self.latency_ms_sum / served if served else 0.0,
@@ -535,15 +547,50 @@ class _Pending:
         self.enqueued = time.monotonic()
 
 
+class _Admission:
+    """One request the HTTP front end has admitted but not yet queued.
+
+    Obtained from :meth:`DynamicBatcher.admit` before the request body is
+    read.  :meth:`DynamicBatcher.submit` settles it as it enqueues; every
+    other exit (a malformed body, a client-assembled batch, a 503) releases
+    it when the ``with`` block ends.  Releasing twice is a no-op.
+    """
+
+    __slots__ = ("_batcher", "open")
+
+    def __init__(self, batcher: "DynamicBatcher"):
+        self._batcher = batcher
+        self.open = True
+
+    def release(self) -> None:
+        self._batcher._release(self)
+
+    def __enter__(self) -> "_Admission":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.release()
+
+
 class DynamicBatcher:
     """Coalesce concurrent requests into bounded admission windows.
 
-    A window opens when a request lands in an empty queue and flushes when
-    either ``max_batch_size`` requests have accumulated (*flush-on-full*) or
-    ``max_wait_ms`` has elapsed since the window opened (*flush-on-timer*).
-    ``evaluate`` is called with the batched request list and must return one
-    result per request, in order.  :meth:`close` drains everything still
-    queued before returning, so no accepted request is ever dropped.
+    A window opens when a request lands in an empty queue and closes at
+    the first of four events:
+
+    * ``max_batch_size`` requests have accumulated (*full*);
+    * no admitted request is still on its way to :meth:`submit`, so nothing
+      else can join (*idle*) — see :meth:`admit`;
+    * ``max_wait_ms`` has elapsed since the window opened (*timer*), the
+      upper bound on how long an announced request may hold it open;
+    * :meth:`close` (*drain*).
+
+    Callers that announce nothing (direct :meth:`submit`, the in-process
+    load generator) therefore batch the requests that queued while the
+    previous batch evaluated.  ``evaluate`` is called with the batched
+    request list and must return one result per request, in order.
+    :meth:`close` drains everything still queued before returning, so no
+    accepted request is ever dropped.
     """
 
     def __init__(
@@ -558,6 +605,7 @@ class DynamicBatcher:
         self.max_wait_ms = float(max_wait_ms)
         self._on_flush = on_flush
         self._queue: list = []
+        self._admitted = 0
         self._cond = threading.Condition()
         self._closed = False
         self._worker = threading.Thread(
@@ -565,15 +613,48 @@ class DynamicBatcher:
         )
         self._worker.start()
 
-    def submit(self, request: ServeRequest, timeout: Optional[float] = None):
+    @property
+    def admitted(self) -> int:
+        """Requests admitted but not yet queued (or released)."""
+        with self._cond:
+            return self._admitted
+
+    def admit(self) -> _Admission:
+        """Announce a request that will :meth:`submit` shortly.
+
+        While any admission is open a window stays open (up to
+        ``max_wait_ms``) so the announced request can join it.  Use the
+        result as a context manager and pass it to :meth:`submit`.
+        """
+        with self._cond:
+            self._admitted += 1
+        return _Admission(self)
+
+    def _release(self, admission: Optional[_Admission]) -> None:
+        # self._cond wraps an RLock, so submit() may call this holding it.
+        with self._cond:
+            if admission is not None and admission.open:
+                admission.open = False
+                self._admitted -= 1
+                self._cond.notify_all()
+
+    def submit(
+        self,
+        request: ServeRequest,
+        timeout: Optional[float] = None,
+        admission: Optional[_Admission] = None,
+    ):
         """Enqueue one request; block until its batch flushes.
 
-        Returns the request's :class:`~repro.serving.requests.ServeResponse`
-        or :class:`~repro.serving.requests.ServeFailure`; raises
+        ``admission`` (from :meth:`admit`) is settled as the request
+        enqueues, or when the batcher refuses it.  Returns the request's
+        :class:`~repro.serving.requests.ServeResponse` or
+        :class:`~repro.serving.requests.ServeFailure`; raises
         :class:`RuntimeError` once the batcher is closed.
         """
         pending = _Pending(request)
         with self._cond:
+            self._release(admission)
             if self._closed:
                 raise RuntimeError("the serving batcher is closed")
             self._queue.append(pending)
@@ -602,24 +683,24 @@ class DynamicBatcher:
                     self._cond.wait()
                 if not self._queue:
                     return  # closed and drained
-                # The window opened with the oldest queued request; fill it
-                # until the batch is full, the deadline passes, or we drain.
+                # The window opened with the oldest queued request.
                 deadline = self._queue[0].enqueued + self.max_wait_ms / 1000.0
-                while (
-                    len(self._queue) < self.max_batch_size and not self._closed
-                ):
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
+                reason = None
+                while reason is None:
+                    if len(self._queue) >= self.max_batch_size:
+                        reason = "full"
+                    elif self._closed:
+                        reason = "drain"
+                    elif not self._admitted:
+                        reason = "idle"
+                    else:
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0:
+                            reason = "timer"
+                        else:
+                            self._cond.wait(remaining)
                 batch = self._queue[: self.max_batch_size]
                 del self._queue[: self.max_batch_size]
-                if len(batch) >= self.max_batch_size:
-                    reason = "full"
-                elif self._closed:
-                    reason = "drain"
-                else:
-                    reason = "timer"
             self._flush(batch, reason)
 
     def _flush(self, batch: list, reason: str) -> None:
@@ -647,6 +728,12 @@ class _ServingHTTPServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # One write per response, sent at once: headers and body collect in a
+    # buffered writer that the stdlib flushes once per request (a response
+    # larger than the buffer, io.DEFAULT_BUFFER_SIZE, takes a few), and
+    # with Nagle off no segment waits on the client's delayed ACK.
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # Quiet by default: per-request stderr chatter is useless under load
     # and breaks the clean stdout contract of `repro serve --daemon`.
@@ -658,11 +745,28 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
+    def _content_length(self) -> int:
+        raw = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(raw)
+        except ValueError:
+            length = -1
+        if length < 0:
+            # The body's extent is unknown, so the connection cannot carry
+            # another request.
+            self.close_connection = True
+            raise IngestError(
+                f"Content-Length must be a non-negative integer, got {raw!r}"
+            )
+        return length
+
     def _read_json(self):
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._content_length()
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise IngestError("request body is empty (expected JSON)")
@@ -705,20 +809,26 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path != "/v1/serve":
             self._send_json(404, {"error": f"unknown path {self.path!r}"})
             return
-        try:
-            payload = self._read_json()
-        except IngestError as error:
-            self._send_json(400, {"error": str(error)})
-            return
-        try:
-            if isinstance(payload, dict) and "requests" in payload:
-                self._serve_many(service, payload)
-            else:
-                self._serve_one(service, payload)
-        except RuntimeError:
-            self._send_json(503, {"error": "the service is shutting down"})
+        started = time.monotonic()
+        # Admit before reading the body: until this request is queued (or
+        # turned away) the open batch window knows it may still join.
+        with service.batcher.admit() as admission:
+            try:
+                payload = self._read_json()
+            except IngestError as error:
+                service.metrics.record_error((time.monotonic() - started) * 1000.0)
+                self._send_json(400, {"error": str(error)})
+                return
+            try:
+                if isinstance(payload, dict) and "requests" in payload:
+                    admission.release()  # a client batch never joins a window
+                    self._serve_many(service, payload)
+                else:
+                    self._serve_one(service, payload, admission)
+            except RuntimeError:
+                self._send_json(503, {"error": "the service is shutting down"})
 
-    def _serve_one(self, service, payload) -> None:
+    def _serve_one(self, service, payload, admission) -> None:
         started = time.monotonic()
         try:
             request = ServeRequest.from_payload(payload)
@@ -732,7 +842,7 @@ class _Handler(BaseHTTPRequestHandler):
             service.metrics.record_error(latency_ms)
             self._send_json(400, {"error": str(error)})
             return
-        result = service.batcher.submit(request)
+        result = service.batcher.submit(request, admission=admission)
         latency_ms = (time.monotonic() - started) * 1000.0
         service.log_request(result, latency_ms)
         if isinstance(result, ServeFailure):
@@ -912,7 +1022,11 @@ class ServingService:
         return results
 
     def serve_request(self, request: ServeRequest):
-        """Python-API entry point: one request through the admission batcher."""
+        """Python-API entry point: one request through the admission batcher.
+
+        It is not announced, so it joins whatever window the requests that
+        queued alongside it form and never holds one open.
+        """
         return self.batcher.submit(request)
 
     # ------------------------------------------------------------------

@@ -6,10 +6,12 @@ parity and the flush triggers, and as a subprocess for the SIGTERM drain
 contract ``repro serve --daemon`` promises.
 """
 
+import http.client
 import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -294,8 +296,14 @@ def test_batcher_flushes_on_full_window():
         on_flush=lambda size, reason: flushes.append((size, reason)),
     )
     try:
+        # All eight arrivals are announced first, so no window goes idle
+        # before it fills.
         threads = [
-            threading.Thread(target=batcher.submit, args=(object(),))
+            threading.Thread(
+                target=batcher.submit,
+                args=(object(),),
+                kwargs={"admission": batcher.admit()},
+            )
             for _ in range(8)
         ]
         for thread in threads:
@@ -304,6 +312,7 @@ def test_batcher_flushes_on_full_window():
             thread.join(timeout=30)
         assert seen == [4, 4]
         assert flushes == [(4, "full"), (4, "full")]
+        assert batcher.admitted == 0
     finally:
         batcher.close()
 
@@ -316,14 +325,102 @@ def test_batcher_flushes_on_timer():
         max_wait_ms=10.0,
         on_flush=lambda size, reason: flushes.append((size, reason)),
     )
+    # An announced request that never arrives holds the window open.
+    straggler = batcher.admit()
     try:
         started = time.monotonic()
-        batcher.submit(object(), timeout=30)
+        batcher.submit(object(), timeout=30, admission=batcher.admit())
         waited_ms = (time.monotonic() - started) * 1000.0
         assert flushes == [(1, "timer")]
         assert waited_ms >= 9.0  # the window deadline was honoured
     finally:
+        straggler.release()
         batcher.close()
+    assert batcher.admitted == 0
+
+
+def test_batcher_flushes_when_nothing_else_can_join():
+    flushes = []
+    batcher = DynamicBatcher(
+        lambda batch: list(batch),
+        max_batch_size=64,
+        max_wait_ms=10_000.0,
+        on_flush=lambda size, reason: flushes.append((size, reason)),
+    )
+    try:
+        started = time.monotonic()
+        with batcher.admit() as admission:
+            batcher.submit(object(), timeout=30, admission=admission)
+        batcher.submit(object(), timeout=30)  # a direct caller announces nothing
+        assert time.monotonic() - started < 5.0  # well under the 10 s timer
+        assert flushes == [(1, "idle"), (1, "idle")]
+        assert batcher.admitted == 0
+    finally:
+        batcher.close()
+
+
+def test_released_admission_closes_the_window():
+    """An announced request that turns away (a 400, a client batch) must
+    not leave the open window waiting for the timer."""
+    flushes = []
+    batcher = DynamicBatcher(
+        lambda batch: list(batch),
+        max_batch_size=64,
+        max_wait_ms=10_000.0,
+        on_flush=lambda size, reason: flushes.append((size, reason)),
+    )
+    try:
+        announced = batcher.admit()
+        done = threading.Event()
+        threading.Thread(
+            target=lambda: (batcher.submit(object(), timeout=30), done.set()),
+            daemon=True,
+        ).start()
+        assert not done.wait(0.05)  # held open by the announced request
+        announced.release()
+        announced.release()  # idempotent
+        assert done.wait(5.0)
+        assert flushes == [(1, "idle")]
+        assert batcher.admitted == 0
+    finally:
+        batcher.close()
+
+
+def test_admission_count_holds_under_concurrent_traffic():
+    """Admit, submit and turn-away races never lose an admission update."""
+    flushes = []
+    served = []
+    batcher = DynamicBatcher(
+        lambda batch: list(batch),
+        max_batch_size=4,
+        max_wait_ms=50.0,
+        on_flush=lambda size, reason: flushes.append((size, reason)),
+    )
+
+    def client(worker: int) -> None:
+        for index in range(50):
+            with batcher.admit() as admission:
+                if (worker + index) % 3:  # every third request turns away
+                    served.append(
+                        batcher.submit((worker, index), timeout=30, admission=admission)
+                    )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=client, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        batcher.close()
+    expected = [(k, i) for k in range(8) for i in range(50) if (k + i) % 3]
+    assert sorted(served) == expected
+    assert sum(size for size, _ in flushes) == len(expected)
+    assert batcher.admitted == 0
 
 
 def test_batcher_drains_queued_work_on_close():
@@ -370,6 +467,173 @@ def test_batcher_delivers_evaluator_exceptions():
             batcher.submit(object(), timeout=30)
     finally:
         batcher.close()
+
+
+# ----------------------------------------------------------------------
+# Transport and admission over HTTP
+# ----------------------------------------------------------------------
+def _inline_payload(tiny_sweep, name: str) -> dict:
+    known = {n: 1.0 for n in tiny_sweep.models.known_feature_names}
+    known.update(rows=64, cols=64, nnz=512, iterations=1)
+    gathered = {n: 0.5 for n in tiny_sweep.models.gathered_feature_names}
+    return {"name": name, "known": known, "gathered": gathered}
+
+
+def _raw_exchange(address, data: bytes, timeout: float = 10.0) -> bytes:
+    """Send raw bytes and read until the server closes (bounded in time)."""
+    with socket.create_connection(address, timeout=timeout) as sock:
+        sock.sendall(data)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+def _wait_until(predicate, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.005)
+
+
+def test_lone_http_request_does_not_wait_for_the_timer(model_path, tiny_sweep):
+    config = _config(model_path, max_wait_ms=10_000.0)
+    with ServingService(config) as service:
+        started = time.monotonic()
+        status, body = _post(
+            service.url + "/v1/serve", _inline_payload(tiny_sweep, "lone")
+        )
+        elapsed = time.monotonic() - started
+        metrics = service.metrics.snapshot()
+    assert status == 200 and body["name"] == "lone"
+    assert elapsed < 5.0  # well under the 10 s window
+    assert metrics["idle_flushes"] == 1
+    assert metrics["timer_flushes"] == 0
+
+
+@pytest.mark.parametrize("length", ["abc", "-5"])
+def test_malformed_content_length_answers_400(model_path, length):
+    with ServingService(_config(model_path)) as service:
+        reply = _raw_exchange(
+            service.address,
+            (
+                "POST /v1/serve HTTP/1.1\r\nHost: test\r\n"
+                f"Content-Type: application/json\r\nContent-Length: {length}"
+                "\r\n\r\n{}"
+            ).encode("ascii"),
+        )
+        metrics = service.metrics.snapshot()
+        admitted = service.batcher.admitted
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400")
+    assert b"Connection: close" in head
+    assert "Content-Length must be a non-negative integer" in json.loads(body)["error"]
+    assert metrics["errors_total"] == 1
+    assert admitted == 0
+
+
+def test_admission_is_released_on_every_exit(model_path, tiny_sweep):
+    with ServingService(_config(model_path)) as service:
+        url = service.url
+
+        def released() -> bool:
+            return service.batcher.admitted == 0
+
+        assert _post(url + "/nope", {})[0] == 404
+        assert released()
+        for body in (b"", b"{not json"):
+            request = urllib.request.Request(url + "/v1/serve", data=body)
+            with pytest.raises(urllib.error.HTTPError) as error:
+                urllib.request.urlopen(request, timeout=30)
+            assert error.value.code == 400
+            error.value.close()
+            assert released()
+        reply = _raw_exchange(
+            service.address,
+            b"POST /v1/serve HTTP/1.1\r\nHost: test\r\nContent-Length: abc\r\n\r\n",
+        )
+        assert reply.startswith(b"HTTP/1.1 400") and released()
+        assert _post(url + "/v1/serve", {"name": "bad", "bogus": 1})[0] == 400
+        assert released()
+        assert _post(url + "/v1/serve", _inline_payload(tiny_sweep, "ok"))[0] == 200
+        assert released()
+        many = {"requests": [_inline_payload(tiny_sweep, "a")]}
+        assert _post(url + "/v1/serve", many)[0] == 200
+        assert released()
+        assert service.metrics.snapshot()["errors_total"] == 4
+
+        # A request still being read when the drain starts gets a 503.
+        body = json.dumps(_inline_payload(tiny_sweep, "late")).encode("utf-8")
+        with socket.create_connection(service.address, timeout=10) as sock:
+            sock.sendall(
+                b"POST /v1/serve HTTP/1.1\r\nHost: test\r\n"
+                + f"Content-Length: {len(body)}\r\n\r\n".encode("ascii")
+                + body[:10]
+            )
+            _wait_until(lambda: service.batcher.admitted == 1)
+            closer = threading.Thread(target=service.shutdown)
+            closer.start()
+            _wait_until(lambda: service.batcher._closed)
+            sock.sendall(body[10:])
+            reply = sock.recv(65536)
+        closer.join(timeout=30)
+        assert reply.startswith(b"HTTP/1.1 503")
+        assert released()
+
+
+class _CountingSocket(socket.socket):
+    """An accepted server socket that counts the writes it issues."""
+
+    def send(self, data, *args):
+        self.writes = getattr(self, "writes", 0) + 1
+        return super().send(data, *args)
+
+    def sendall(self, data, *args):
+        self.writes = getattr(self, "writes", 0) + 1
+        return super().sendall(data, *args)
+
+
+def test_each_response_is_one_write_with_nagle_off(model_path, tiny_sweep):
+    service = ServingService(_config(model_path))
+    accepted = []
+    accept = service._httpd.get_request
+
+    def counting_accept():
+        sock, address = accept()
+        counting = _CountingSocket(
+            sock.family, sock.type, sock.proto, fileno=sock.detach()
+        )
+        accepted.append(counting)
+        return counting, address
+
+    service._httpd.get_request = counting_accept
+    service.start_background()
+    try:
+        connection = http.client.HTTPConnection(*service.address, timeout=30)
+        exchanges = [
+            ("GET", "/healthz", None, 200),
+            ("GET", "/metrics", None, 200),
+            ("POST", "/v1/serve", _inline_payload(tiny_sweep, "one"), 200),
+            ("POST", "/v1/serve", {"name": "bad", "bogus": 1}, 400),
+            ("POST", "/v1/serve", {"requests": [_inline_payload(tiny_sweep, "a")]}, 200),
+            ("GET", "/nope", None, 404),
+        ]
+        try:
+            for count, (method, path, payload, status) in enumerate(exchanges, 1):
+                body = None if payload is None else json.dumps(payload).encode()
+                connection.request(method, path, body)
+                response = connection.getresponse()
+                response.read()
+                assert response.status == status
+                assert len(accepted) == 1  # one keep-alive connection
+                assert accepted[0].writes == count, (method, path)
+            assert accepted[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            connection.close()
+    finally:
+        service.shutdown()
 
 
 # ----------------------------------------------------------------------
