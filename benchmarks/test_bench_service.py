@@ -127,44 +127,3 @@ def test_bench_evaluate_window_amortization(benchmark, paper_sweep):
         speedup=singles_s / windows_s if windows_s else float("nan"),
     )
     assert windows_s < singles_s
-
-
-def test_bench_serve_codegen_backend(benchmark, paper_sweep, tmp_path_factory):
-    """The codegen-native backend under the same window-8 closed loop.
-
-    This entry documents an honest cost, not a speedup: the generated
-    if/else nests evaluate one row per call in Python, so the codegen
-    backend trades the compiled backend's vectorized throughput for serving
-    through exactly the artifact a production library would embed (its
-    decisions are element-wise identical — pinned in tests/serving).
-    ``extra_info.throughput_vs_compiled`` records the price; the floor
-    assertion only catches a pathological collapse (e.g. the selector
-    module being re-generated per window instead of cached).
-    """
-    model_path, payloads = _service_inputs(paper_sweep, tmp_path_factory)
-    compiled = _load(model_path, payloads, WINDOW)
-    config = ServiceConfig(
-        model=model_path,
-        max_batch_size=WINDOW,
-        max_wait_ms=WAIT_MS,
-        execute=False,
-        backend="codegen",
-    )
-    report = benchmark.pedantic(
-        run_load,
-        args=(config, payloads),
-        kwargs={"clients": CLIENTS, "label": "codegen", "transport": "inproc"},
-        rounds=3,
-        iterations=1,
-    )
-    assert report.errors == 0
-    ratio = report.throughput_rps / compiled.throughput_rps
-    record(
-        benchmark,
-        requests=report.requests,
-        clients=report.clients,
-        throughput_rps=report.throughput_rps,
-        compiled_rps=compiled.throughput_rps,
-        throughput_vs_compiled=ratio,
-    )
-    assert ratio > 0.05

@@ -435,11 +435,13 @@ class SweepEngine:
         try:
             payload = json.loads(path.read_text())
             return measurement_from_dict(payload)
-        except Exception:
+        except Exception as exc:
             # A cached artifact that cannot be read back — truncated file,
             # valid JSON with the wrong shape, unknown domain name — is a
             # cache miss, never fatal: the measurement is recomputed and
             # the slot overwritten.
+            if path.exists():
+                logger.warning("measurement artifact treated as a miss: %s: %r", path, exc)
             return None
 
     def _store_measurement(self, key: str, measurement: MatrixMeasurement, domain=None) -> None:
@@ -455,11 +457,13 @@ class SweepEngine:
         try:
             with open(path, "rb") as handle:
                 return pickle.load(handle)
-        except Exception:
+        except Exception as exc:
             # Corrupted/truncated pickles raise a zoo of exception types
             # (UnpicklingError, EOFError, AttributeError, ImportError,
             # IndexError, ...); any unreadable sweep artifact is simply a
             # cache miss and the sweep is recomputed.
+            if path.exists():
+                logger.warning("sweep artifact treated as a miss: %s: %r", path, exc)
             return None
 
     def _store_sweep(self, key: str, result, describe: dict) -> None:

@@ -46,7 +46,6 @@ from repro.experiments.registry import (
     run_experiment,
     write_artifact,
 )
-from repro.serving.backends import BACKEND_MODES
 from repro.sparse.collection import PROFILE_NAMES
 
 
@@ -250,21 +249,6 @@ def _cmd_codegen(args) -> int:
         artifact = load_artifact(args.model)
     except ModelArtifactError as error:
         raise SystemExit(f"repro: error: {error}") from None
-    if args.install:
-        from repro.serving.backends import emit_selector_module
-
-        if args.language != "py":
-            raise SystemExit(
-                "repro: error: --install caches the Python selector "
-                "(use --language py)"
-            )
-        if artifact.path is None:
-            raise SystemExit(
-                "repro: error: --install needs a model artifact on disk"
-            )
-        installed = emit_selector_module(artifact.models, artifact.path)
-        print(f"installed codegen selector: {installed}")
-        return 0
     if args.language == "cpp":
         rendered = models_to_cpp_header(artifact.models)
     else:
@@ -316,7 +300,6 @@ def _cmd_serve_daemon(args) -> int:
             log_dir=args.log_dir,
             feedback_dir=args.feedback_dir,
             drift_threshold=args.drift_threshold,
-            backend=args.backend,
             options=options or None,
         )
         service = ServingService(config)
@@ -669,12 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", default=None, metavar="PATH",
         help="file to write; omitted, the generated code goes to stdout",
     )
-    codegen.add_argument(
-        "--install", action="store_true",
-        help="atomically cache the generated Python selector as selector.py "
-        "next to the model artifact, where the serving daemon's codegen "
-        "backend loads it",
-    )
     codegen.set_defaults(func=_cmd_codegen)
 
     serve = sub.add_parser(
@@ -750,12 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--drift-threshold", type=float, default=None, metavar="X",
         help="degradation fraction that flags drift (default: 0.1)",
-    )
-    serve.add_argument(
-        "--backend", default=None, choices=list(BACKEND_MODES),
-        help="daemon inference backend: the vectorized compiled trees or the "
-        "generated-Python selector module cached next to model.json "
-        "(default: compiled)",
     )
     _add_engine_options(serve)
     serve.set_defaults(func=_cmd_serve)

@@ -117,13 +117,14 @@ class SeerModels:
         return self.selector_model.predict_one(known_vector)
 
     def predict_batch(self, known_matrix, gathered_matrix=None) -> BatchSelection:
-        """Run all three trees over N feature rows in one vectorized pass.
+        """Run all three trees over N feature rows in one batched call.
 
         ``known_matrix`` has one known-feature row per sample;
         ``gathered_matrix`` (optional) the matching gathered-feature rows.
         Each tree is evaluated through its compiled flattened form
-        (:mod:`repro.serving.compiled`), so the whole batch costs a few
-        NumPy passes instead of 3N recursive walks — element-wise identical
+        (:mod:`repro.serving.compiled`: flat-list walks for small batches,
+        a few NumPy passes for large ones) instead of 3N recursive walks of
+        linked nodes — element-wise identical
         to :meth:`predict_known` / :meth:`predict_gathered` /
         :meth:`predict_selector` per row.
         """
@@ -140,7 +141,7 @@ class SeerModels:
                     f"known and gathered batches disagree on the sample "
                     f"count: {known_matrix.shape[0]} vs {gathered_matrix.shape[0]}"
                 )
-            full = np.hstack([known_matrix, gathered_matrix])
+            full = np.concatenate((known_matrix, gathered_matrix), axis=1)
             gathered_kernels = tuple(self.gathered_model.predict_batch(full))
         return BatchSelection(
             selector_choices=selector_choices,

@@ -292,7 +292,7 @@ class DecisionTreeClassifier:
         return self.predict(np.asarray(sample, dtype=np.float64).reshape(1, -1))[0]
 
     def compiled(self):
-        """The tree flattened for vectorized evaluation (built lazily).
+        """The tree flattened for serving evaluation (built lazily).
 
         The compiled form is cached on the instance and invalidated by
         :meth:`fit`; it performs exactly the comparisons of the recursive
@@ -306,18 +306,15 @@ class DecisionTreeClassifier:
         return self._compiled
 
     def predict_batch(self, X) -> list:
-        """Predict every row of ``X`` through the compiled vectorized path.
+        """Predict every row of ``X`` through the compiled tree.
 
         Element-wise identical to :meth:`predict`; the recursive walk is
         kept as the auditable reference implementation while this path
-        advances all N samples one tree level at a time in NumPy.
+        walks small batches over flat node lists and advances larger ones
+        one tree level at a time in NumPy
+        (:meth:`~repro.serving.compiled.CompiledTree.predict_codes`, which
+        also checks the feature count).
         """
-        self._require_fitted()
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.num_features_:
-            raise ValueError(
-                f"expected {self.num_features_} features, got {X.shape[1]}"
-            )
         return self._encoder.inverse_transform(self.compiled().predict_codes(X))
 
     def predict_proba(self, X) -> np.ndarray:

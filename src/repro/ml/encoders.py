@@ -38,8 +38,8 @@ class LabelEncoder:
     def inverse_transform(self, codes):
         """Decode integer codes back to the original labels."""
         self._require_fitted()
-        codes = np.asarray(codes, dtype=np.int64)
-        if codes.size and (codes.min() < 0 or codes.max() >= len(self.classes_)):
+        codes = np.asarray(codes, dtype=np.int64).tolist()
+        if codes and (min(codes) < 0 or max(codes) >= len(self.classes_)):
             raise ValueError("code out of range")
         return [self.classes_[code] for code in codes]
 

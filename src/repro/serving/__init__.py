@@ -5,12 +5,12 @@ the two the way the paper's deployment story does (train once, embed the
 trees, select kernels at runtime for pennies):
 
 * :mod:`repro.serving.compiled` — fitted decision trees flattened into
-  NumPy arrays so N feature rows are classified in a handful of vectorized
-  passes (:meth:`SeerModels.predict_batch` rides on this);
-* :mod:`repro.serving.backends` — the interchangeable inference
-  backends (``compiled``/``codegen``) behind one
-  ``predict_batch`` interface, including the generated-Python
-  ``selector.py`` cache the codegen backend serves natively;
+  node arrays: small batches walk them row by row in plain Python, large
+  ones advance level by level in NumPy (:meth:`SeerModels.predict_batch`
+  rides on this);
+* :mod:`repro.serving.backends` — the one serving decide call
+  (:class:`CompiledBackend`) and the recursive per-row walk it is
+  differential-tested against (:class:`RecursiveBackend`);
 * :mod:`repro.serving.artifacts` — canonical ``model.json`` documents:
   byte-stable serialization of a full :class:`~repro.core.training.SeerModels`
   with eager validation on load;
@@ -43,16 +43,7 @@ from repro.serving.artifacts import (
     tree_from_payload,
     tree_to_payload,
 )
-from repro.serving.backends import (
-    BACKEND_MODES,
-    SELECTOR_MODULE_NAME,
-    BackendError,
-    CodegenBackend,
-    CompiledBackend,
-    check_backend,
-    emit_selector_module,
-    make_backend,
-)
+from repro.serving.backends import CompiledBackend
 from repro.serving.compiled import CompiledTree, compile_tree
 from repro.serving.ingest import (
     DECISIONS_FILE_NAME,
@@ -75,14 +66,7 @@ from repro.serving.requests import (
 )
 
 __all__ = [
-    "BACKEND_MODES",
-    "BackendError",
-    "CodegenBackend",
     "CompiledBackend",
-    "SELECTOR_MODULE_NAME",
-    "check_backend",
-    "emit_selector_module",
-    "make_backend",
     "DECISIONS_FILE_NAME",
     "IngestCache",
     "IngestError",

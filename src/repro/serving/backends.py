@@ -1,158 +1,30 @@
-"""Inference backends: interchangeable selector evaluators.
+"""The serving decide call and its recursive test oracle.
 
 The serving core decides kernels through one narrow interface —
 ``predict_batch(known_matrix, gathered_matrix=None) -> BatchSelection`` —
-and this module provides two selectable implementations of it:
+and this module holds its two implementations:
 
-* ``compiled`` (the default) — the flattened-array vectorized evaluation of
+* :class:`CompiledBackend` — the only serving path: the flattened trees of
   :mod:`repro.serving.compiled`, via
-  :meth:`~repro.core.training.SeerModels.predict_batch`;
-* ``codegen`` — *codegen-native* inference: the generated-Python selector
-  module (:func:`~repro.core.codegen.models_to_python_module`, the same
-  emitter behind ``repro codegen``) is cached as ``selector.py`` next to
-  ``model.json`` and executed directly, so the daemon serves decisions
-  through exactly the artifact a production library would embed.
+  :meth:`~repro.core.training.SeerModels.predict_batch`, which walk small
+  batches row by row and vectorize large ones;
+* :class:`RecursiveBackend` — the readable per-row
+  :meth:`~repro.ml.decision_tree.DecisionTreeClassifier.predict_one` walk.
+  It serves nothing; it is the ground truth the differential tests compare
+  :class:`CompiledBackend` against.
 
-:class:`RecursiveBackend` — the readable per-row
-:meth:`~repro.ml.decision_tree.DecisionTreeClassifier.predict_one` walk —
-is not selectable; it is the ground truth the differential tests compare
-both backends against.  All three perform the same ``feature <= threshold``
-comparisons on the same float64 values (the code generator emits
-thresholds with ``repr``, the shortest exactly-round-tripping literal), so
-they agree element-wise on every input — differential-tested in
-``tests/serving``.
-
-The ``selector.py`` cache is written through
-:func:`~repro.bench.engine.atomic_write_bytes` and re-emitted whenever the
-models it was generated from change, so a promotion that flips the
-``current.json`` pointer atomically swaps the served generated code too —
-no restart, no torn module.
+Both perform the same ``feature <= threshold`` comparisons on the same
+float64 values, so they agree element-wise on every input —
+differential-tested in ``tests/serving``.
 """
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import numpy as np
 
 from repro.core.training import BatchSelection, SeerModels
 
-#: The selectable inference backends, in preference order.
-BACKEND_MODES = ("compiled", "codegen")
 
-#: File name of the generated-Python selector cached next to ``model.json``.
-SELECTOR_MODULE_NAME = "selector.py"
-
-#: Names the generated selector module must define to be servable.
-SELECTOR_MODULE_EXPORTS = (
-    "KERNEL_CLASSES",
-    "GATHERED_CLASSES",
-    "SELECTOR_CLASSES",
-    "known_classifier",
-    "gathered_classifier",
-    "classifier_selector",
-)
-
-
-class BackendError(ValueError):
-    """A backend name or a generated selector module is invalid."""
-
-
-def check_backend(backend: str) -> str:
-    """Validate a backend name, returning it; raises :class:`BackendError`."""
-    if backend not in BACKEND_MODES:
-        raise BackendError(
-            f"backend must be one of {', '.join(map(repr, BACKEND_MODES))}, "
-            f"got {backend!r}"
-        )
-    return backend
-
-
-# ----------------------------------------------------------------------
-# The generated selector module: emission, caching, loading
-# ----------------------------------------------------------------------
-def selector_module_path(model_path) -> Path:
-    """Where the generated selector is cached for a ``model.json``."""
-    return Path(model_path).parent / SELECTOR_MODULE_NAME
-
-
-def render_selector_module(models: SeerModels) -> str:
-    """The generated-Python selector source for ``models``.
-
-    Thin alias of :func:`~repro.core.codegen.models_to_python_module`, so
-    the serving cache and ``repro codegen`` can never drift apart.
-    """
-    from repro.core.codegen import models_to_python_module
-
-    return models_to_python_module(models)
-
-
-def emit_selector_module(models: SeerModels, model_path) -> Path:
-    """Atomically write the generated selector next to ``model_path``.
-
-    Uses the same temp-file-plus-``os.replace`` discipline as every other
-    serving artifact, so a concurrently hot-reloading daemon never observes
-    a torn module.
-    """
-    from repro.bench.engine import atomic_write_bytes
-
-    path = selector_module_path(model_path)
-    atomic_write_bytes(path, render_selector_module(models).encode("utf-8"))
-    return path
-
-
-def ensure_selector_module(models: SeerModels, model_path=None) -> str:
-    """The selector source for ``models``, re-emitting the cache if stale.
-
-    Regenerates the source from the loaded models and compares it with the
-    on-disk ``selector.py``; a missing or differing cache (e.g. an artifact
-    registered before code generation existed, or one whose ``model.json``
-    was replaced in place) is atomically overwritten.  With no
-    ``model_path`` — or an unwritable artifact directory — the source is
-    served purely in memory: a read-only registry degrades to uncached
-    codegen inference, never to a crash.
-    """
-    source = render_selector_module(models)
-    if model_path is None:
-        return source
-    path = selector_module_path(model_path)
-    try:
-        if path.read_text(encoding="utf-8") == source:
-            return source
-    except OSError:
-        pass
-    try:
-        emit_selector_module(models, model_path)
-    except OSError:
-        pass
-    return source
-
-
-def load_selector_namespace(source: str, origin: str = SELECTOR_MODULE_NAME) -> dict:
-    """Execute generated selector source and return its namespace.
-
-    The module is pure generated code — three functions over tuples of
-    literals, no imports — executed into a private namespace (never
-    installed in ``sys.modules``), so concurrent hot-reloads of different
-    model versions cannot collide.  Missing exports raise
-    :class:`BackendError` naming what the module should have defined.
-    """
-    namespace: dict = {}
-    try:
-        exec(compile(source, origin, "exec"), namespace)
-    except SyntaxError as error:
-        raise BackendError(f"{origin} is not valid generated code: {error}") from None
-    missing = [name for name in SELECTOR_MODULE_EXPORTS if name not in namespace]
-    if missing:
-        raise BackendError(
-            f"{origin} is missing generated name(s) {', '.join(map(repr, missing))}"
-        )
-    return namespace
-
-
-# ----------------------------------------------------------------------
-# The backends
-# ----------------------------------------------------------------------
 def _check_pair(known_matrix, gathered_matrix):
     """Validated 2-D float64 views of a known/gathered batch pair."""
     known_matrix = np.atleast_2d(np.asarray(known_matrix, dtype=np.float64))
@@ -168,9 +40,7 @@ def _check_pair(known_matrix, gathered_matrix):
 
 
 class CompiledBackend:
-    """The default flattened-array vectorized evaluation."""
-
-    name = "compiled"
+    """The serving decide call: the models' compiled trees."""
 
     def __init__(self, models: SeerModels):
         self.models = models
@@ -181,8 +51,6 @@ class CompiledBackend:
 
 class RecursiveBackend:
     """The per-row recursive tree walks — the test-only parity reference."""
-
-    name = "recursive"
 
     def __init__(self, models: SeerModels):
         self.models = models
@@ -207,66 +75,3 @@ class RecursiveBackend:
             known_kernels=known_kernels,
             gathered_kernels=gathered_kernels,
         )
-
-
-class CodegenBackend:
-    """Inference through the generated-Python selector module.
-
-    Construction loads (and, when ``model_path`` names a writable artifact,
-    re-emits) the cached ``selector.py``; every decision then runs the
-    generated if/else nests directly.  The generated functions return class
-    *indices* into the emitted ``*_CLASSES`` tuples — the same encoder
-    ordering the in-memory trees use — so labels agree with the other
-    backends exactly.
-    """
-
-    name = "codegen"
-
-    def __init__(self, models: SeerModels, model_path=None):
-        self.models = models
-        self.model_path = Path(model_path) if model_path is not None else None
-        source = ensure_selector_module(models, self.model_path)
-        origin = (
-            str(selector_module_path(self.model_path))
-            if self.model_path is not None
-            else SELECTOR_MODULE_NAME
-        )
-        namespace = load_selector_namespace(source, origin)
-        self._kernel_classes = tuple(namespace["KERNEL_CLASSES"])
-        self._gathered_classes = tuple(namespace["GATHERED_CLASSES"])
-        self._selector_classes = tuple(namespace["SELECTOR_CLASSES"])
-        self._known_fn = namespace["known_classifier"]
-        self._gathered_fn = namespace["gathered_classifier"]
-        self._selector_fn = namespace["classifier_selector"]
-
-    def predict_batch(self, known_matrix, gathered_matrix=None) -> BatchSelection:
-        known_matrix, gathered_matrix = _check_pair(known_matrix, gathered_matrix)
-        selector_choices = tuple(
-            self._selector_classes[self._selector_fn(row)] for row in known_matrix
-        )
-        known_kernels = tuple(
-            self._kernel_classes[self._known_fn(row)] for row in known_matrix
-        )
-        gathered_kernels = None
-        if gathered_matrix is not None:
-            full = np.hstack([known_matrix, gathered_matrix])
-            gathered_kernels = tuple(
-                self._gathered_classes[self._gathered_fn(row)] for row in full
-            )
-        return BatchSelection(
-            selector_choices=selector_choices,
-            known_kernels=known_kernels,
-            gathered_kernels=gathered_kernels,
-        )
-
-
-def make_backend(name: str, models: SeerModels, model_path=None):
-    """Build the named backend for ``models``.
-
-    ``model_path`` (the artifact's ``model.json``) only matters to the
-    codegen backend, which caches its generated module next to it.
-    """
-    name = check_backend(name)
-    if name == "codegen":
-        return CodegenBackend(models, model_path=model_path)
-    return CompiledBackend(models)

@@ -163,12 +163,6 @@ class ModelRegistry:
             domain=domain,
             training_config=config or TrainingConfig(),
         )
-        # Cache the generated-Python selector next to the model document so
-        # the daemon's codegen backend can serve it without regenerating —
-        # emitted through the same atomic-write discipline as model.json.
-        from repro.serving.backends import SELECTOR_MODULE_NAME, emit_selector_module
-
-        emit_selector_module(models, model_path)
         manifest = {
             "format_version": MODEL_FORMAT_VERSION,
             "key": key,
@@ -183,7 +177,6 @@ class ModelRegistry:
             "training": asdict(config or TrainingConfig()),
             "kernels": list(models.kernel_names),
             "training_size": int(models.training_size),
-            "selector_module": SELECTOR_MODULE_NAME,
         }
         if evaluation is not None:
             manifest["evaluation"] = dict(evaluation)

@@ -18,11 +18,11 @@ those paths onto one stable pair of dataclasses:
 
 :func:`evaluate_requests` is the one serving core behind all entry points.
 It is *admission-batched*: however many requests arrive in one call, all
-selector/classifier tree evaluations run through the compiled vectorized
-:meth:`~repro.core.training.SeerModels.predict_batch` path (a few NumPy
-passes instead of per-row Python tree walks), while remaining element-wise
-identical to the serial :meth:`~repro.core.inference.SeerPredictor.predict`
-flow.  The persistent daemon (:mod:`repro.serving.service`) coalesces
+selector/classifier tree evaluations run through two
+:meth:`~repro.core.training.SeerModels.predict_batch` calls over the
+compiled trees instead of one decision per request, while remaining
+element-wise identical to the serial
+:meth:`~repro.core.inference.SeerPredictor.predict` flow.  The persistent daemon (:mod:`repro.serving.service`) coalesces
 concurrent single requests into exactly these batches.
 
 The column-validation helpers (:func:`feature_vector`,
@@ -58,6 +58,7 @@ from repro.domains.base import (
 from repro.gpu.device import MI100, DeviceSpec
 from repro.kernels.base import UnsupportedKernelError
 from repro.pipeline.sources import MatrixSource, MatrixSourceError, resolve_source
+from repro.serving.backends import CompiledBackend
 from repro.sparse.coo import SparseFormatError
 
 if TYPE_CHECKING:  # typing-only imports; runtime imports would be cyclic
@@ -71,8 +72,7 @@ REQUEST_FORMAT_VERSION = 1
 #: Keys a :class:`ServeRequest` payload may carry; anything else is rejected
 #: loudly (a typo silently ignored would serve the wrong workload).
 REQUEST_PAYLOAD_KEYS = frozenset(
-    {"name", "source", "known", "gathered", "iterations", "options", "model",
-     "backend"}
+    {"name", "source", "known", "gathered", "iterations", "options", "model"}
 )
 
 
@@ -182,12 +182,9 @@ class ServeRequest:
       classifier without inline gathered features is an error.
 
     ``options`` are domain workload parameters (e.g. SpMM's
-    ``num_vectors``), ``model`` optionally selects which hot-loaded model a
-    daemon should serve the request with (``"<domain>"`` or
-    ``"<domain>/<profile>"``; ``None`` = the daemon's default), and
-    ``backend`` optionally overrides the daemon's inference backend for
-    this request (``"compiled"`` or ``"codegen"``; ``None`` = the daemon's
-    configured default).
+    ``num_vectors``), and ``model`` optionally selects which hot-loaded
+    model a daemon should serve the request with (``"<domain>"`` or
+    ``"<domain>/<profile>"``; ``None`` = the daemon's default).
     """
 
     name: Optional[str] = None
@@ -197,7 +194,6 @@ class ServeRequest:
     iterations: int = 1
     options: Dict[str, float] = field(default_factory=dict)
     model: Optional[str] = None
-    backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if (self.source is None) == (self.known is None):
@@ -213,13 +209,6 @@ class ServeRequest:
             raise IngestError(
                 f"iterations must be >= 1, got {self.iterations!r}"
             )
-        if self.backend is not None:
-            from repro.serving.backends import BackendError, check_backend
-
-            try:
-                check_backend(self.backend)
-            except BackendError as error:
-                raise IngestError(str(error)) from None
 
     @property
     def is_inline(self) -> bool:
@@ -272,7 +261,6 @@ class ServeRequest:
                 iterations=iterations,
                 options=dict(payload.get("options") or {}),
                 model=payload.get("model"),
-                backend=payload.get("backend"),
             )
         except IngestError as error:
             raise IngestError(f"{origin}:{line} {error}") from None
@@ -294,8 +282,6 @@ class ServeRequest:
             payload["options"] = dict(self.options)
         if self.model is not None:
             payload["model"] = self.model
-        if self.backend is not None:
-            payload["backend"] = self.backend
         return payload
 
 
@@ -585,10 +571,9 @@ def evaluate_requests(
     while every decision stays element-wise identical to the serial
     :meth:`~repro.core.inference.SeerPredictor.predict` flow.
 
-    ``backend`` optionally substitutes an inference backend from
-    :mod:`repro.serving.backends` (anything exposing the same
-    ``predict_batch``) for the models' compiled path — all backends agree
-    element-wise, so the decisions are unchanged.
+    Decisions come from :class:`~repro.serving.backends.CompiledBackend`;
+    ``backend`` substitutes any object with the same ``predict_batch`` —
+    the differential tests pass the recursive reference walk here.
 
     ``cache`` is an :class:`~repro.serving.ingest.IngestCache` (or ``None``)
     used for matrix-reference requests.  With ``strict`` (the default for
@@ -601,7 +586,7 @@ def evaluate_requests(
     """
     from repro.core.inference import TREE_EVALUATION_MS
 
-    predict_batch = models.predict_batch if backend is None else backend.predict_batch
+    predict_batch = (CompiledBackend(models) if backend is None else backend).predict_batch
     requests = list(requests)
     stats = EvaluationStats(requests=len(requests))
     domain = get_domain(domain) if any(not r.is_inline for r in requests) or domain is not None else None

@@ -4,8 +4,8 @@ One-shot serving re-pays every fixed cost on every invocation: model
 loading, pipeline construction, matrix parsing.  The daemon keeps all of
 that warm across requests and adds *dynamic batching* — concurrent
 single-workload requests are coalesced into admission windows and decided
-through one vectorized :meth:`~repro.core.training.SeerModels.predict_batch`
-pass, so sustained traffic amortizes tree inference the same way the
+through one :meth:`~repro.core.training.SeerModels.predict_batch` call,
+so sustained traffic amortizes tree inference the same way the
 offline suite does.  Everything speaks the unified request/response API of
 :mod:`repro.serving.requests`; decisions are element-wise identical to the
 one-shot ``repro serve`` path.
@@ -66,6 +66,12 @@ from repro.serving.requests import (
 #: pattern: everything a run produced, together under one root).
 REQUEST_LOG_FILE_NAME = "requests.log"
 SUMMARY_FILE_NAME = "summary.json"
+
+#: Seconds a connection handler waits on a silent client socket.  An idle
+#: keep-alive connection is closed after it, so it cannot hold graceful
+#: shutdown (which joins every handler thread); a request body that stalls
+#: for it answers 408.
+HANDLER_TIMEOUT_S = 5.0
 
 
 class ServiceConfigError(ValueError):
@@ -167,7 +173,6 @@ _CONFIG_KEYS = frozenset(
         "execute",
         "feedback_dir",
         "drift_threshold",
-        "backend",
     }
 )
 
@@ -198,11 +203,6 @@ class ServiceConfig:
     execute: bool = True
     feedback_dir: Optional[str] = None
     drift_threshold: float = 0.1
-    #: Default inference backend: ``compiled`` (vectorized flattened trees)
-    #: or ``codegen`` (the generated-Python selector module cached next to
-    #: ``model.json``).  Requests may override it per call via their
-    #: ``backend`` field.
-    backend: str = "compiled"
     options: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -229,12 +229,6 @@ class ServiceConfig:
             raise ServiceConfigError(
                 f"drift_threshold must be > 0, got {self.drift_threshold!r}"
             )
-        from repro.serving.backends import BackendError, check_backend
-
-        try:
-            check_backend(self.backend)
-        except BackendError as error:
-            raise ServiceConfigError(str(error)) from None
 
     @classmethod
     def from_mapping(cls, data: dict, origin: str = "config") -> "ServiceConfig":
@@ -301,7 +295,6 @@ class ModelHub:
         self._lock = threading.Lock()
         self._artifacts: dict = {}
         self._pipelines: dict = {}
-        self._backends: dict = {}
 
     @property
     def default_key(self) -> str:
@@ -377,42 +370,10 @@ class ModelHub:
                 self._pipelines[domain.name] = pipeline
             return pipeline
 
-    def backend_for(self, key: str, artifact, backend_name=None):
-        """The inference backend serving ``key``'s artifact.
-
-        Backend objects cache per ``(key, backend)`` pair, but — like the
-        artifact cache — each entry remembers the ``model.json`` path it was
-        built from: when a promotion hot-reloads the artifact, the next call
-        rebuilds the backend, and for ``codegen`` that rebuild atomically
-        re-emits the generated ``selector.py`` next to the *new* model — a
-        flipped ``current.json`` pointer swaps the served generated code
-        without a restart.
-        """
-        from repro.serving.backends import BackendError, check_backend, make_backend
-
-        try:
-            name = check_backend(backend_name or self.config.backend)
-        except BackendError as error:
-            raise IngestError(str(error)) from None
-        path = getattr(artifact, "path", None)
-        with self._lock:
-            entry = self._backends.get((key, name))
-            if entry is None or entry[0] != path:
-                try:
-                    entry = (path, make_backend(name, artifact.models, model_path=path))
-                except BackendError as error:
-                    raise IngestError(str(error)) from None
-                self._backends[(key, name)] = entry
-            return entry[1]
-
     def loaded_models(self) -> list:
         with self._lock:
             return sorted(self._artifacts)
 
-    def loaded_backends(self) -> list:
-        """``"<key>:<backend>"`` labels of every instantiated backend."""
-        with self._lock:
-            return sorted(f"{key}:{name}" for key, name in self._backends)
 
 
 # ----------------------------------------------------------------------
@@ -734,6 +695,7 @@ class _Handler(BaseHTTPRequestHandler):
     # with Nagle off no segment waits on the client's delayed ACK.
     wbufsize = -1
     disable_nagle_algorithm = True
+    timeout = HANDLER_TIMEOUT_S
 
     # Quiet by default: per-request stderr chatter is useless under load
     # and breaks the clean stdout contract of `repro serve --daemon`.
@@ -787,15 +749,11 @@ class _Handler(BaseHTTPRequestHandler):
                         "status": "ok",
                         "default_model": service.hub.default_key,
                         "loaded_models": service.hub.loaded_models(),
-                        "backend": service.config.backend,
-                        "loaded_backends": service.hub.loaded_backends(),
                     },
                 )
         elif self.path == "/metrics":
             payload = service.metrics.snapshot()
             payload["drift"] = service.drift_status()
-            payload["backend"] = service.config.backend
-            payload["loaded_backends"] = service.hub.loaded_backends()
             self._send_json(200, payload)
         else:
             self._send_json(404, {"error": f"unknown path {self.path!r}"})
@@ -815,6 +773,15 @@ class _Handler(BaseHTTPRequestHandler):
         with service.batcher.admit() as admission:
             try:
                 payload = self._read_json()
+            except TimeoutError:
+                # The rest of the body may still arrive, so the stream
+                # cannot carry another request.
+                self.close_connection = True
+                service.metrics.record_error((time.monotonic() - started) * 1000.0)
+                self._send_json(
+                    408, {"error": f"request body not received within {self.timeout} s"}
+                )
+                return
             except IngestError as error:
                 service.metrics.record_error((time.monotonic() - started) * 1000.0)
                 self._send_json(400, {"error": str(error)})
@@ -985,21 +952,11 @@ class ServingService:
                 # them so the request/failure totals stay exhaustive.
                 self.metrics.record_results([results[index]], _EMPTY_STATS, [])
                 continue
-            backend_name = request.backend or self.config.backend
-            groups.setdefault((key, backend_name), ([], []))
-            groups[(key, backend_name)][0].append(index)
-            groups[(key, backend_name)][1].append(request)
-        for (key, backend_name), (slots, group) in sorted(groups.items()):
+            slots, group = groups.setdefault(key, ([], []))
+            slots.append(index)
+            group.append(request)
+        for key, (slots, group) in sorted(groups.items()):
             _, artifact = self.hub.resolve(key)
-            try:
-                backend = self.hub.backend_for(key, artifact, backend_name)
-            except IngestError as error:
-                for slot, request in zip(slots, group):
-                    results[slot] = ServeFailure(
-                        name=request.name or f"request[{slot}]", error=str(error)
-                    )
-                    self.metrics.record_results([results[slot]], _EMPTY_STATS, [])
-                continue
             needs_domain = any(not r.is_inline for r in group)
             domain = artifact.domain_name if needs_domain else None
             pipeline = self.hub.pipeline_for(artifact) if needs_domain else None
@@ -1012,7 +969,6 @@ class ServingService:
                 cache=self.cache,
                 execute=self.config.execute,
                 strict=False,
-                backend=backend,
             )
             self.metrics.record_results(group_results, stats, [])
             for slot, result in zip(slots, group_results):
@@ -1182,8 +1138,6 @@ class ServingService:
                 "max_batch_size": self.config.max_batch_size,
                 "max_wait_ms": self.config.max_wait_ms,
                 "execute": self.config.execute,
-                "backend": self.config.backend,
-                "loaded_backends": self.hub.loaded_backends(),
             },
             "metrics": self.metrics.snapshot(),
             "drift": self.drift_status(),

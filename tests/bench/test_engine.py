@@ -1,6 +1,7 @@
 """Tests for the parallel, cached sweep engine."""
 
 import json
+import logging
 import math
 import shutil
 
@@ -96,28 +97,43 @@ def test_measurement_tier_survives_sweep_tier_loss(tmp_path, monkeypatch):
     assert second.test_report.aggregate_table() == first.test_report.aggregate_table()
 
 
-def test_corrupt_sweep_artifact_is_recomputed(tmp_path):
+def _engine_warnings(caplog) -> list:
+    """Messages of the warnings the engine logged so far."""
+    return [
+        record.getMessage()
+        for record in caplog.records
+        if record.name == engine_module.__name__ and record.levelno == logging.WARNING
+    ]
+
+
+def test_corrupt_sweep_artifact_is_recomputed(tmp_path, caplog):
     engine = SweepEngine(jobs=1, cache_dir=tmp_path)
     first = run_sweep(profile="tiny", iteration_counts=(1,), engine=engine)
+    assert _engine_warnings(caplog) == []  # a cold run's misses are silent
     [artifact] = (tmp_path / "sweeps").glob("*.pkl")
     artifact.write_bytes(b"not a pickle")
 
     retry = SweepEngine(jobs=1, cache_dir=tmp_path)
     second = run_sweep(profile="tiny", iteration_counts=(1,), engine=retry)
     assert retry.stats.sweep_cache_misses == 1
+    [warning] = _engine_warnings(caplog)
+    assert str(artifact) in warning
     assert second.test_report.aggregate_table() == first.test_report.aggregate_table()
 
 
-def test_truncated_sweep_pickle_is_recomputed(tmp_path):
+def test_truncated_sweep_pickle_is_recomputed(tmp_path, caplog):
     """A half-written pickle (e.g. a killed process) is a miss, not a crash."""
     engine = SweepEngine(jobs=1, cache_dir=tmp_path)
     first = run_sweep(profile="tiny", iteration_counts=(1,), engine=engine)
+    assert _engine_warnings(caplog) == []
     [artifact] = (tmp_path / "sweeps").glob("*.pkl")
     artifact.write_bytes(artifact.read_bytes()[: artifact.stat().st_size // 2])
 
     retry = SweepEngine(jobs=1, cache_dir=tmp_path)
     second = run_sweep(profile="tiny", iteration_counts=(1,), engine=retry)
     assert retry.stats.sweep_cache_misses == 1
+    [warning] = _engine_warnings(caplog)
+    assert str(artifact) in warning
     assert second.test_report.aggregate_table() == first.test_report.aggregate_table()
 
 
@@ -126,11 +142,12 @@ def test_truncated_sweep_pickle_is_recomputed(tmp_path):
     [b"{ not json at all", b"", b'{"valid": "json", "wrong": "shape"}'],
     ids=["garbage", "empty", "wrong-shape"],
 )
-def test_corrupt_measurement_artifact_is_remeasured(tmp_path, corruption):
+def test_corrupt_measurement_artifact_is_remeasured(tmp_path, corruption, caplog):
     """Unreadable measurement JSONs — including *valid* JSON with the wrong
     shape — are re-measured and overwritten, never fatal."""
     populate = SweepEngine(jobs=1, cache_dir=tmp_path)
     first = run_sweep(profile="tiny", iteration_counts=(1,), engine=populate)
+    assert _engine_warnings(caplog) == []  # a cold run's misses are silent
     measurement_paths = sorted((tmp_path / "measurements").glob("*.json"))
     assert measurement_paths
     for path in measurement_paths:
@@ -141,6 +158,10 @@ def test_corrupt_measurement_artifact_is_remeasured(tmp_path, corruption):
     second = run_sweep(profile="tiny", iteration_counts=(1,), engine=retry)
     assert retry.stats.measurement_cache_hits == 0
     assert retry.stats.matrices_measured == len(first.suite)
+    # One warning per corrupt file, naming it.
+    warnings = _engine_warnings(caplog)
+    assert len(warnings) == len(measurement_paths)
+    assert all(any(str(path) in warning for warning in warnings) for path in measurement_paths)
     assert second.test_report.aggregate_table() == first.test_report.aggregate_table()
     # The corrupted slots were overwritten with readable artifacts.
     for path in measurement_paths:

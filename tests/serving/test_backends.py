@@ -1,17 +1,13 @@
-"""Backend differential tests: compiled vs. codegen vs. recursive.
+"""Backend differential tests: the compiled decide call vs. the recursive walk.
 
-The serving core decides kernels through one ``predict_batch`` interface
-with two selectable implementations plus the recursive per-row reference
-(:class:`RecursiveBackend`, not selectable); since the code generator emits
-thresholds with ``repr`` (the shortest exactly-round-tripping float
-literal), all three must agree *element-wise* on every input — no
-tolerance.  These tests pin
-that contract on real trained models, then exercise the ``selector.py``
-cache discipline (emission on save, stale re-emission, read-only
-degradation) and the daemon-facing plumbing: config validation,
-request-level overrides, ``/healthz``/``/metrics`` exposure, and the
-promotion hot-reload that swaps the served generated code without a
-restart.
+The serving core decides kernels through one ``predict_batch`` interface,
+:class:`CompiledBackend`; the recursive per-row reference
+(:class:`RecursiveBackend`) serves nothing and exists to be compared
+against.  The two must agree *element-wise* on every input — no tolerance —
+on both sides of the compiled tree's walk/vectorize crossover
+(:data:`~repro.serving.compiled.WALK_MAX_ROWS`).  These tests pin that
+contract on real trained models, through ``evaluate_requests`` and through
+a promotion that hot-swaps the served model without a restart.
 """
 
 import json
@@ -22,39 +18,16 @@ import numpy as np
 import pytest
 
 from repro.core.training import TrainingConfig, train_seer_models
-from repro.serving.artifacts import save_models
-from repro.serving.backends import (
-    BACKEND_MODES,
-    SELECTOR_MODULE_NAME,
-    BackendError,
-    CodegenBackend,
-    CompiledBackend,
-    RecursiveBackend,
-    check_backend,
-    emit_selector_module,
-    ensure_selector_module,
-    load_selector_namespace,
-    make_backend,
-    render_selector_module,
-    selector_module_path,
-)
-from repro.serving.ingest import IngestError
+from repro.serving.backends import CompiledBackend, RecursiveBackend
+from repro.serving.compiled import WALK_MAX_ROWS
 from repro.serving.registry import ModelRegistry
 from repro.serving.requests import ServeRequest, evaluate_requests
-from repro.serving.service import ServiceConfig, ServiceConfigError, ServingService
+from repro.serving.service import ServiceConfig, ServingService
 
 #: Cheap deliberately-different retrain config for the hot-reload test.
 STUMP_CONFIG = TrainingConfig(
     known_depth=1, gathered_depth=1, selector_depth=1, selector_cross_fit=0
 )
-
-
-@pytest.fixture(scope="module")
-def saved_model(tiny_sweep, tmp_path_factory):
-    """The tiny-sweep models persisted as a registry-style artifact."""
-    directory = tmp_path_factory.mktemp("backend-model")
-    path = save_models(tiny_sweep.models, directory / "model.json", domain="spmv")
-    return tiny_sweep.models, path
 
 
 def _feature_batches(sweep):
@@ -65,10 +38,9 @@ def _feature_batches(sweep):
     return known, gathered
 
 
-def _parity_backends(models, path):
-    """Every selectable backend plus the recursive ground truth."""
-    backends = [make_backend(name, models, model_path=path) for name in BACKEND_MODES]
-    return backends + [RecursiveBackend(models)]
+def _parity_backends(models):
+    """The serving backend plus the recursive ground truth."""
+    return [CompiledBackend(models), RecursiveBackend(models)]
 
 
 def _get(url: str) -> tuple:
@@ -91,108 +63,32 @@ def _post(url: str, payload: dict) -> tuple:
 # ----------------------------------------------------------------------
 # Element-wise parity
 # ----------------------------------------------------------------------
-def test_all_backends_agree_elementwise(tiny_sweep, saved_model):
-    models, path = saved_model
-    known, gathered = _feature_batches(tiny_sweep)
-    reference = CompiledBackend(models).predict_batch(known, gathered)
-    assert reference == models.predict_batch(known, gathered)
-    for name in BACKEND_MODES:
-        assert make_backend(name, models, model_path=path).name == name
-    for backend in _parity_backends(models, path):
-        assert backend.predict_batch(known, gathered) == reference
-        # Known-only batches (no gathered features offered) agree too.
-        assert backend.predict_batch(known) == CompiledBackend(
-            models
-        ).predict_batch(known)
-
-
-def test_codegen_backend_works_without_a_model_path(tiny_sweep):
-    """No artifact directory → purely in-memory generated-code inference."""
+def test_all_backends_agree_elementwise(tiny_sweep):
     models = tiny_sweep.models
     known, gathered = _feature_batches(tiny_sweep)
-    backend = CodegenBackend(models)
-    assert backend.predict_batch(known, gathered) == models.predict_batch(
-        known, gathered
-    )
+    compiled, recursive = _parity_backends(models)
+    # The dataset's rows, repeated so batches reach past the crossover: the
+    # row-walked sizes, the smallest vectorized one, and the whole dataset.
+    cycled = np.arange(WALK_MAX_ROWS + 1) % len(known)
+    batches = [
+        (known[cycled[:size]], gathered[cycled[:size]])
+        for size in (1, WALK_MAX_ROWS, WALK_MAX_ROWS + 1)
+    ] + [(known, gathered)]
+    for batch_known, batch_gathered in batches:
+        reference = recursive.predict_batch(batch_known, batch_gathered)
+        assert compiled.predict_batch(batch_known, batch_gathered) == reference
+        assert reference == models.predict_batch(batch_known, batch_gathered)
+        # Known-only batches (no gathered features offered) agree too.
+        assert compiled.predict_batch(batch_known) == recursive.predict_batch(
+            batch_known
+        )
 
 
-def test_backends_reject_mismatched_batches(tiny_sweep, saved_model):
-    models, path = saved_model
+def test_backends_reject_mismatched_batches(tiny_sweep):
     known, gathered = _feature_batches(tiny_sweep)
-    for backend in _parity_backends(models, path):
+    for backend in _parity_backends(tiny_sweep.models):
         with pytest.raises(ValueError, match="disagree on the sample count"):
             backend.predict_batch(known, gathered[:-1])
-
-
-def test_check_backend_names():
-    for name in BACKEND_MODES:
-        assert check_backend(name) == name
-    for name in ("interpreted", "recursive"):
-        with pytest.raises(BackendError, match="backend must be one of"):
-            check_backend(name)
-
-
-# ----------------------------------------------------------------------
-# The selector.py cache
-# ----------------------------------------------------------------------
-def test_registry_save_emits_the_selector_module(tiny_sweep, tmp_path):
-    registry = ModelRegistry(tmp_path)
-    model_path = registry.save(tiny_sweep.models, domain="spmv", profile="tiny")
-    selector = selector_module_path(model_path)
-    assert selector.name == SELECTOR_MODULE_NAME
-    assert selector.read_text(encoding="utf-8") == render_selector_module(
-        tiny_sweep.models
-    )
-    manifest = registry.manifest_for("spmv", "tiny", model_path.parent.name)
-    assert manifest["selector_module"] == SELECTOR_MODULE_NAME
-
-
-def test_stale_selector_module_is_reemitted(tiny_sweep, saved_model, tmp_path):
-    models, _ = saved_model
-    path = save_models(models, tmp_path / "model.json", domain="spmv")
-    selector = emit_selector_module(models, path)
-    canonical = selector.read_text(encoding="utf-8")
-    selector.write_text("# stale leftover from an older code generator\n")
-    known, gathered = _feature_batches(tiny_sweep)
-    backend = CodegenBackend(models, model_path=path)
-    assert selector.read_text(encoding="utf-8") == canonical
-    assert backend.predict_batch(known, gathered) == models.predict_batch(
-        known, gathered
-    )
-    # A missing cache is re-created the same way.
-    selector.unlink()
-    CodegenBackend(models, model_path=path)
-    assert selector.read_text(encoding="utf-8") == canonical
-
-
-def test_readonly_artifact_degrades_to_in_memory(
-    tiny_sweep, tmp_path, monkeypatch
-):
-    """An unwritable artifact directory must not break codegen serving."""
-    import repro.bench.engine as engine
-
-    models = tiny_sweep.models
-    path = save_models(models, tmp_path / "model.json", domain="spmv")
-
-    def refuse(*args, **kwargs):
-        raise OSError("read-only registry")
-
-    monkeypatch.setattr(engine, "atomic_write_bytes", refuse)
-    backend = CodegenBackend(models, model_path=path)  # no crash
-    assert not selector_module_path(path).exists()
-    known, gathered = _feature_batches(tiny_sweep)
-    assert backend.predict_batch(known, gathered) == models.predict_batch(
-        known, gathered
-    )
-    # ensure_selector_module still hands back the full source.
-    assert ensure_selector_module(models, path) == render_selector_module(models)
-
-
-def test_selector_namespace_validation():
-    with pytest.raises(BackendError, match="not valid generated code"):
-        load_selector_namespace("def known_classifier(:\n")
-    with pytest.raises(BackendError, match="missing generated name"):
-        load_selector_namespace("KERNEL_CLASSES = ()\n")
 
 
 # ----------------------------------------------------------------------
@@ -219,16 +115,16 @@ def _inline_requests(sweep):
     return requests
 
 
-def test_evaluate_requests_backend_parity(tiny_sweep, saved_model):
+def test_evaluate_requests_backend_parity(tiny_sweep):
     """Every decision out of ``evaluate_requests`` is identical across the
     backends and the recursive reference, gathered-routed second pass
     included."""
-    models, path = saved_model
+    models = tiny_sweep.models
     requests = _inline_requests(tiny_sweep)
     reference, _ = evaluate_requests(models, requests, execute=False)
     routed = {r.selector_choice for r in reference}
     assert routed == {"known", "gathered"}  # both passes exercised
-    for backend in _parity_backends(models, path):
+    for backend in _parity_backends(models):
         results, _ = evaluate_requests(
             models, requests, execute=False, backend=backend
         )
@@ -237,93 +133,31 @@ def test_evaluate_requests_backend_parity(tiny_sweep, saved_model):
             assert got.selector_choice == expected.selector_choice
 
 
-def test_serve_request_validates_and_roundtrips_backend():
-    request = ServeRequest(name="w", known={"f": 1.0}, backend="codegen")
-    assert request.to_payload()["backend"] == "codegen"
-    assert ServeRequest.from_payload(request.to_payload()).backend == "codegen"
-    assert "backend" not in ServeRequest(name="w", known={"f": 1.0}).to_payload()
-    with pytest.raises(IngestError, match="backend must be one of"):
-        ServeRequest(name="w", known={"f": 1.0}, backend="interpreted")
-
-
-def test_service_config_validates_backend(saved_model):
-    _, path = saved_model
-    assert ServiceConfig(model=str(path)).backend == "compiled"
-    for name in ("interpreted", "recursive"):
-        with pytest.raises(ServiceConfigError, match="backend must be one of"):
-            ServiceConfig(model=str(path), backend=name)
-
-
 # ----------------------------------------------------------------------
-# The daemon: exposure, overrides, hot reload
+# The daemon: hot reload
 # ----------------------------------------------------------------------
-def test_daemon_exposes_backend(tiny_sweep, saved_model):
-    models, path = saved_model
-    config = ServiceConfig(model=str(path), port=0, execute=False, backend="codegen")
-    known = {name: 1.0 for name in models.known_feature_names}
-    gathered = {name: 0.5 for name in models.gathered_feature_names}
-    with ServingService(config) as service:
-        status, health = _get(service.url + "/healthz")
-        assert status == 200
-        assert health["backend"] == "codegen"
-
-        status, body = _post(
-            service.url + "/v1/serve",
-            {"name": "w", "known": known, "gathered": gathered},
-        )
-        assert status == 200
-        codegen_kernel = body["kernel"]
-
-        # Request-level override: the compiled backend must agree.
-        status, body = _post(
-            service.url + "/v1/serve",
-            {"name": "w", "known": known, "gathered": gathered,
-             "backend": "compiled"},
-        )
-        assert status == 200
-        assert body["kernel"] == codegen_kernel
-
-        # An unknown or test-only backend fails that request only, naming
-        # the selectable backends.
-        for name in ("interpreted", "recursive"):
-            status, body = _post(
-                service.url + "/v1/serve",
-                {"name": "w", "known": known, "backend": name},
-            )
-            assert status == 400
-            assert "backend must be one of 'compiled', 'codegen'" in body["error"]
-
-        status, metrics = _get(service.url + "/metrics")
-        assert metrics["backend"] == "codegen"
-        assert "precision" not in metrics
-        assert metrics["loaded_backends"] == [
-            "default:codegen",
-            "default:compiled",
-        ]
-        summary = service.summary()
-    assert summary["service"]["backend"] == "codegen"
-    assert "precision" not in summary["service"]
-    assert summary["service"]["loaded_backends"] == [
-        "default:codegen",
-        "default:compiled",
-    ]
-
-
-def test_promotion_hot_reload_swaps_the_codegen_module(tiny_sweep, tmp_path):
-    """Flipping ``current.json`` swaps the served generated code: the next
-    request rebuilds the codegen backend against the promoted artifact and
-    re-emits ``selector.py`` next to it — no restart."""
+def test_promotion_hot_reload_swaps_the_served_model(tiny_sweep, tmp_path):
+    """Flipping ``current.json`` swaps the served model: the next request
+    hot-loads the promoted artifact and is decided by it — no restart."""
     registry = ModelRegistry(tmp_path / "registry")
     incumbent = tiny_sweep.models
     registry.save(incumbent, domain="spmv", profile="tiny", key="incumbent")
     registry.promote("spmv", "tiny", key="incumbent")
+    promoted = train_seer_models(tiny_sweep.train_set, STUMP_CONFIG)
+    registry.save(promoted, domain="spmv", profile="tiny", key="promoted")
 
-    promoted_models = train_seer_models(tiny_sweep.train_set, STUMP_CONFIG)
-    promoted_path = registry.save(
-        promoted_models, domain="spmv", profile="tiny", key="promoted"
-    )
-    promoted_selector = selector_module_path(promoted_path)
-    promoted_selector.unlink()  # force the hot reload to re-emit it
+    # A workload the two models decide differently, so the swap shows.
+    requests = _inline_requests(tiny_sweep)
+
+    def decisions(models):
+        results, _ = evaluate_requests(models, requests, execute=False)
+        return [(result.selector_choice, result.kernel) for result in results]
+
+    old, new = decisions(incumbent), decisions(promoted)
+    differing = [index for index in range(len(requests)) if old[index] != new[index]]
+    assert differing
+    index = differing[0]
+    payload = requests[index].to_payload()
 
     config = ServiceConfig(
         registry=str(tmp_path / "registry"),
@@ -331,38 +165,18 @@ def test_promotion_hot_reload_swaps_the_codegen_module(tiny_sweep, tmp_path):
         profile="tiny",
         port=0,
         execute=False,
-        backend="codegen",
     )
-    known = {name: 1.0 for name in incumbent.known_feature_names}
     with ServingService(config) as service:
-        status, before = _post(
-            service.url + "/v1/serve", {"name": "w", "known": known}
-        )
+        status, before = _post(service.url + "/v1/serve", payload)
         assert status == 200
-        _, health = _get(service.url + "/healthz")
-        assert health["loaded_backends"] == ["spmv/tiny:codegen"]
+        assert (before["selector_choice"], before["kernel"]) == old[index]
 
         registry.promote("spmv", "tiny", key="promoted")
 
-        status, after = _post(
-            service.url + "/v1/serve", {"name": "w", "known": known}
-        )
+        status, after = _post(service.url + "/v1/serve", payload)
         assert status == 200
-        # The re-emitted module is the promoted model's generated code...
-        assert promoted_selector.read_text(
-            encoding="utf-8"
-        ) == render_selector_module(promoted_models)
-        # ... and the decision now comes from the promoted model.
-        row = np.array(
-            [known[name] for name in incumbent.known_feature_names]
-        )
-        expected = promoted_models.predict_batch(np.atleast_2d(row))
-        assert after["kernel"] == (
-            expected.known_kernels[0]
-            if expected.selector_choices[0] == "known"
-            else after["kernel"]
-        )
-        assert after["selector_choice"] == expected.selector_choices[0]
+        assert (after["selector_choice"], after["kernel"]) == new[index]
         _, health = _get(service.url + "/healthz")
-        assert health["loaded_backends"] == ["spmv/tiny:codegen"]
-        assert before["selector_choice"] in ("known", "gathered")
+        assert health["loaded_models"] == ["spmv/tiny"]
+    # Nothing is served from generated code, so nothing caches it.
+    assert not list((tmp_path / "registry").rglob("selector.py"))

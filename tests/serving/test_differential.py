@@ -20,6 +20,7 @@ from repro.serving.artifacts import (
     tree_from_payload,
     tree_to_payload,
 )
+from repro.serving.compiled import WALK_MAX_ROWS
 
 KERNEL_POOL = ("CSR,A", "CSR,TM", "COO,WM", "ELL,TM", "rocSPARSE")
 
@@ -30,7 +31,10 @@ def fitted_trees(draw):
 
     Training features are rounded to one decimal so duplicate values (and
     therefore shared thresholds) are common; the probe batch mixes training
-    rows (which sit exactly on threshold boundaries) with fresh draws.
+    rows (which sit exactly on threshold boundaries) with fresh draws and
+    NaN features (which go right), and is longer than ``WALK_MAX_ROWS`` so
+    :func:`_both_branches` can cut it into a row-walked and a vectorized
+    batch.
     """
     num_samples = draw(st.integers(min_value=4, max_value=50))
     num_features = draw(st.integers(min_value=1, max_value=4))
@@ -45,18 +49,28 @@ def fitted_trees(draw):
     tree = DecisionTreeClassifier(
         max_depth=max_depth, min_samples_leaf=min_samples_leaf
     ).fit(X, y, sample_weight=weights)
-    num_probes = draw(st.integers(min_value=1, max_value=40))
-    probes = np.vstack(
-        [X, np.round(rng.normal(size=(num_probes, num_features)) * 3, 1)]
+    num_probes = draw(
+        st.integers(min_value=WALK_MAX_ROWS + 1, max_value=2 * WALK_MAX_ROWS)
     )
+    probes = np.vstack(
+        [X, np.round(rng.normal(size=(num_probes - len(X), num_features)) * 3, 1)]
+    )
+    probes[rng.random(probes.shape) < 0.05] = np.nan
+    probes[0, 0] = probes[-1, -1] = np.nan
     return tree, probes
+
+
+def _both_branches(probes):
+    """The probe batch's walked prefix and the whole, vectorized batch."""
+    return probes[:WALK_MAX_ROWS], probes
 
 
 @given(fitted_trees())
 @settings(max_examples=60, deadline=None)
 def test_predict_batch_agrees_with_recursive_predict(case):
     tree, probes = case
-    assert tree.predict_batch(probes) == tree.predict(probes)
+    for batch in _both_branches(probes):
+        assert tree.predict_batch(batch) == tree.predict(batch)
 
 
 @given(fitted_trees())
@@ -69,7 +83,8 @@ def test_payload_roundtrip_preserves_every_prediction(case):
     assert rebuilt.num_nodes_ == tree.num_nodes_
     assert rebuilt.depth() == tree.depth()
     assert rebuilt.predict(probes) == tree.predict(probes)
-    assert rebuilt.predict_batch(probes) == tree.predict_batch(probes)
+    for batch in _both_branches(probes):
+        assert rebuilt.predict_batch(batch) == tree.predict_batch(batch)
     assert tree_to_payload(rebuilt) == payload
 
 
@@ -77,9 +92,10 @@ def test_payload_roundtrip_preserves_every_prediction(case):
 @settings(max_examples=30, deadline=None)
 def test_compiled_probabilities_reach_the_same_leaves(case):
     tree, probes = case
-    codes = tree.compiled().predict_codes(probes)
-    for sample, code in zip(probes, codes):
-        assert tree._leaf_for(sample).prediction == code
+    for batch in _both_branches(probes):
+        codes = tree.compiled().predict_codes(batch)
+        for sample, code in zip(batch, codes):
+            assert tree._leaf_for(sample).prediction == code
 
 
 @st.composite

@@ -90,6 +90,11 @@ def test_from_payload_rejects_unknown_fields():
         IngestError, match=r"request:1 has unknown request field\(s\) 'nonsense'"
     ):
         ServeRequest.from_payload({"known": {"rows": 1}, "nonsense": True})
+    # Requests pick no inference backend: there is only one.
+    with pytest.raises(
+        IngestError, match=r"request:1 has unknown request field\(s\) 'backend'"
+    ):
+        ServeRequest.from_payload({"known": {"rows": 1}, "backend": "codegen"})
 
 
 def test_from_payload_rejects_bad_shapes():

@@ -26,10 +26,12 @@ from repro.serving.artifacts import save_models
 from repro.serving.ingest import serve_sources
 from repro.serving.requests import ServeFailure, ServeRequest
 from repro.serving.service import (
+    HANDLER_TIMEOUT_S,
     DynamicBatcher,
     ServiceConfig,
     ServiceConfigError,
     ServingService,
+    _Handler,
     _parse_toml_minimal,
 )
 from repro.sparse.generators import banded_matrix, power_law_matrix
@@ -139,6 +141,11 @@ def test_config_from_mapping_rejects_unknown_settings(model_path):
         ServiceConfig.from_mapping({"model": model_path, "prot": 1})
     with pytest.raises(ServiceConfigError, match=r"unknown table \[srvice\]"):
         ServiceConfig.from_mapping({"srvice": {"model": model_path}})
+    # The daemon has one inference backend, so a service.toml cannot pick one.
+    with pytest.raises(ServiceConfigError, match=r"unknown setting\(s\) 'backend'"):
+        ServiceConfig.from_mapping(
+            {"service": {"model": model_path, "backend": "codegen"}}
+        )
 
 
 def test_config_from_toml_and_overrides(model_path, tmp_path):
@@ -583,6 +590,56 @@ def test_admission_is_released_on_every_exit(model_path, tiny_sweep):
         assert released()
 
 
+def test_client_batch_releases_its_admission_while_evaluating(
+    model_path, tiny_sweep, monkeypatch
+):
+    """A client-assembled batch never joins a window, so it must not hold
+    one open while it evaluates."""
+    with ServingService(_config(model_path)) as service:
+        entered, proceed = threading.Event(), threading.Event()
+        evaluate_batch = service.evaluate_batch
+
+        def held(requests, reason="full"):
+            entered.set()
+            proceed.wait(30)
+            return evaluate_batch(requests, reason=reason)
+
+        monkeypatch.setattr(service, "evaluate_batch", held)
+        many = {"requests": [_inline_payload(tiny_sweep, name) for name in "ab"]}
+        replies = []
+        poster = threading.Thread(
+            target=lambda: replies.append(_post(service.url + "/v1/serve", many))
+        )
+        poster.start()
+        assert entered.wait(10)
+        admitted = service.batcher.admitted
+        proceed.set()
+        poster.join(30)
+    assert admitted == 0
+    assert replies[0][0] == 200
+
+
+def test_stalled_request_body_answers_408(model_path, monkeypatch):
+    monkeypatch.setattr(_Handler, "timeout", 0.5)
+    with ServingService(_config(model_path)) as service:
+        started = time.monotonic()
+        reply = _raw_exchange(
+            service.address,
+            b"POST /v1/serve HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: 100\r\n\r\n{\"name\": ",
+        )
+        elapsed = time.monotonic() - started
+        metrics = service.metrics.snapshot()
+        admitted = service.batcher.admitted
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 408")
+    assert b"Connection: close" in head
+    assert "request body not received" in json.loads(body)["error"]
+    assert elapsed < 5.0
+    assert metrics["errors_total"] == 1
+    assert admitted == 0
+
+
 class _CountingSocket(socket.socket):
     """An accepted server socket that counts the writes it issues."""
 
@@ -666,6 +723,23 @@ def test_shutdown_is_idempotent_and_summary_is_written(
     assert len(log_lines) == 1
     record = json.loads(log_lines[0])
     assert record["name"] == "w" and record["latency_ms"] >= 0.0
+
+
+def test_idle_keep_alive_client_does_not_hold_shutdown(model_path, monkeypatch):
+    assert _Handler.timeout == HANDLER_TIMEOUT_S  # shipped handlers time out
+    monkeypatch.setattr(_Handler, "timeout", 0.5)
+    service = ServingService(_config(model_path))
+    service.start_background()
+    with socket.create_connection(service.address, timeout=10) as sock:
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+        reply = sock.recv(65536)
+        assert reply.startswith(b"HTTP/1.1 200")
+        assert b"Connection: close" not in reply  # the connection stays open
+        done = threading.Event()
+        threading.Thread(
+            target=lambda: (service.shutdown(), done.set()), daemon=True
+        ).start()
+        assert done.wait(5), "an idle keep-alive client held graceful shutdown"
 
 
 def test_embedded_service_shutdown_without_accept_loop(model_path):

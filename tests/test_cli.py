@@ -23,6 +23,16 @@ def test_cli_has_no_per_figure_commands(capsys):
             main([name])
         assert error.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+    # The daemon has one inference backend and nothing serves a cached
+    # selector module, so neither has a flag.
+    for argv in (
+        ["serve", "--daemon", "--model", "m.json", "--backend", "compiled"],
+        ["codegen", "--model", "m.json", "--install"],
+    ):
+        with pytest.raises(SystemExit) as error:
+            main(argv)
+        assert error.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_requires_a_command():
@@ -539,34 +549,3 @@ def test_cli_codegen_writes_a_python_module(tmp_path, capsys):
     ) == 0
     assert "wrote py selector" in capsys.readouterr().out
     assert "def known_classifier" in output.read_text()
-
-
-def test_cli_codegen_install_caches_next_to_the_model(tmp_path, capsys):
-    models, model_path = _tiny_saved_model(tmp_path)
-    assert main(["codegen", "--model", str(model_path), "--install"]) == 0
-    out = capsys.readouterr().out
-    assert "installed codegen selector" in out
-    selector = model_path.parent / "selector.py"
-    from repro.serving.backends import render_selector_module
-
-    assert selector.read_text(encoding="utf-8") == render_selector_module(models)
-
-
-def test_cli_codegen_install_requires_python(tmp_path):
-    _, model_path = _tiny_saved_model(tmp_path)
-    with pytest.raises(SystemExit, match="use --language py"):
-        main(
-            ["codegen", "--model", str(model_path), "--language", "cpp",
-             "--install"]
-        )
-
-
-def test_parser_accepts_only_the_selectable_backends():
-    parser = build_parser()
-    args = parser.parse_args(
-        ["serve", "--daemon", "--model", "m.json", "--backend", "codegen"]
-    )
-    assert args.backend == "codegen"
-    for backend in ("bogus", "recursive"):
-        with pytest.raises(SystemExit):
-            parser.parse_args(["serve", "--model", "m.json", "--backend", backend])
