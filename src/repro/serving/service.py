@@ -45,6 +45,7 @@ open window and flushes the moment none can.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -773,7 +774,7 @@ class _Handler(BaseHTTPRequestHandler):
         with service.batcher.admit() as admission:
             try:
                 payload = self._read_json()
-            except TimeoutError:
+            except socket.timeout:  # an alias of TimeoutError from 3.10 on
                 # The rest of the body may still arrive, so the stream
                 # cannot carry another request.
                 self.close_connection = True

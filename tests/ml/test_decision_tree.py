@@ -147,6 +147,8 @@ def test_input_validation():
     tree = DecisionTreeClassifier()
     with pytest.raises(RuntimeError):
         tree.predict([[1.0]])
+    with pytest.raises(RuntimeError, match="used before fit"):
+        tree.predict_batch([[1.0]])
     with pytest.raises(ValueError):
         tree.fit(np.ones((2, 2)), [0])
     with pytest.raises(ValueError):
@@ -154,6 +156,8 @@ def test_input_validation():
     fitted = DecisionTreeClassifier().fit([[0.0], [1.0]], [0, 1])
     with pytest.raises(ValueError):
         fitted.predict([[1.0, 2.0]])
+    with pytest.raises(ValueError, match="expected 1 features, got 2"):
+        fitted.predict_batch([[1.0, 2.0]])
 
 
 def test_constant_features_produce_single_leaf():

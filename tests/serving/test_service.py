@@ -711,10 +711,13 @@ def test_shutdown_is_idempotent_and_summary_is_written(
         service.url + "/v1/serve",
         {"name": "w", "known": known, "gathered": gathered},
     )
+    _, metrics = _get(service.url + "/metrics")
+    assert "precision" not in metrics
     summary = service.shutdown()
     assert service.shutdown() is None  # second caller: already drained
     assert summary["metrics"]["requests_total"] == 1
     assert summary["service"]["max_batch_size"] == 2
+    assert "precision" not in summary["service"]
     on_disk = json.loads((tmp_path / "logs" / "summary.json").read_text())
     assert on_disk == summary
     log_lines = (
