@@ -85,7 +85,7 @@ from repro.sparse.csr import CSRMatrix
 logger = logging.getLogger(__name__)
 
 #: Bumped whenever the on-disk layout of cached artifacts changes.
-CACHE_FORMAT_VERSION = 3
+CACHE_FORMAT_VERSION = 4
 
 
 def _digest_sources(root: Path) -> str:

@@ -3,7 +3,9 @@
 CSR is the primary format of the SpMV case study: six of the eight kernel
 variants in the paper (Table II) operate on CSR.  The format stores a
 ``row_offsets`` array of length ``num_rows + 1`` plus per-nonzero column
-indices and values sorted by row.
+indices and values sorted by row.  A generated matrix may carry both of the
+per-nonzero arrays as O(rows) recipes — :class:`RowRuns` for the columns,
+:class:`DeferredValues` for the values — that expand on first access.
 """
 
 from __future__ import annotations
@@ -105,6 +107,59 @@ def uniform_values(rng: np.random.Generator, size: int):
     return DeferredValues(state=state, size=size)
 
 
+@dataclass(frozen=True, eq=False)
+class RowRuns:
+    """Column indices not yet expanded: one arithmetic run per row.
+
+    Row ``i`` holds columns ``(starts[i] + k * strides[i]) % num_cols`` for
+    ``k`` in ``range(row_length)``, the layout every run generator in
+    :mod:`repro.sparse.generators` draws.  Seer's features and every SpMV
+    cost model read only ``row_offsets``, so most generated matrices never
+    expand the recipe: it costs two integers per row instead of one per
+    nonzero.
+    """
+
+    starts: np.ndarray
+    strides: np.ndarray
+
+    def expand(self, row_offsets: np.ndarray, num_cols: int) -> np.ndarray:
+        """The int64 column indices of a matrix with these ``row_offsets``."""
+        nnz = int(row_offsets[-1])
+        if nnz == 0:
+            return np.empty(0, dtype=np.int64)
+        lengths = np.diff(row_offsets)
+        # Entry k of a row is starts + k * strides; with the global position
+        # p = row_offsets + k that is p * strides + (starts - row_offsets * strides).
+        cols = np.arange(nnz, dtype=np.int64)
+        cols *= np.repeat(self.strides, lengths)
+        cols += np.repeat(self.starts - row_offsets[:-1] * self.strides, lengths)
+        cols %= num_cols
+        return cols
+
+    def validate(self, row_offsets: np.ndarray, num_cols: int) -> None:
+        """Check the recipe in O(rows), raising :class:`SparseFormatError`.
+
+        One run per row, ``0 <= starts < num_cols``, ``strides >= 1`` and
+        ``(length - 1) * stride < num_cols``: together these keep every
+        expanded column in bounds and unique within its row.
+        """
+        num_rows = row_offsets.shape[0] - 1
+        if self.starts.shape != (num_rows,) or self.strides.shape != (num_rows,):
+            raise SparseFormatError(
+                f"column runs must hold one start and one stride per row, got "
+                f"{self.starts.shape} and {self.strides.shape} for {num_rows} rows"
+            )
+        if num_rows == 0:
+            return
+        if self.starts.min() < 0 or self.starts.max() >= num_cols:
+            raise SparseFormatError("column run start out of bounds")
+        if self.strides.min() < 1:
+            raise SparseFormatError("column run strides must be positive")
+        # (length - 1) * stride < num_cols, written so it cannot overflow.
+        if np.any(np.diff(row_offsets) - 1 > (num_cols - 1) // self.strides):
+            raise SparseFormatError("column run would repeat a column")
+
+
 class CSRMatrix:
     """A sparse matrix in compressed-sparse-row format.
 
@@ -116,7 +171,9 @@ class CSRMatrix:
         Integer array of length ``num_rows + 1``; row ``i`` owns the nonzeros
         in ``[row_offsets[i], row_offsets[i + 1])``.
     col_indices:
-        Column index of every stored entry, grouped by row.
+        Column index of every stored entry, grouped by row.  The
+        constructor also accepts a :class:`RowRuns` recipe, expanded on
+        first access.
     values:
         Stored values, aligned with ``col_indices``.  The constructor also
         accepts a :class:`DeferredValues` recipe, drawn on first access.
@@ -127,17 +184,33 @@ class CSRMatrix:
         num_rows: int,
         num_cols: int,
         row_offsets: np.ndarray,
-        col_indices: np.ndarray,
+        col_indices,
         values,
     ) -> None:
         self.num_rows = num_rows
         self.num_cols = num_cols
         self.row_offsets = np.asarray(row_offsets, dtype=np.int64)
-        self.col_indices = np.asarray(col_indices, dtype=np.int64)
+        if not isinstance(col_indices, RowRuns):
+            col_indices = np.asarray(col_indices, dtype=np.int64)
+        self._col_indices = col_indices
         if not isinstance(values, DeferredValues):
             values = np.asarray(values, dtype=np.float64)
         self._values = values
         self.validate()
+
+    @property
+    def col_indices(self) -> np.ndarray:
+        """Column index of every stored entry, grouped by row."""
+        if isinstance(self._col_indices, RowRuns):
+            self._col_indices = self._col_indices.expand(self.row_offsets, self.num_cols)
+        return self._col_indices
+
+    @property
+    def column_runs(self):
+        """The unexpanded :class:`RowRuns` recipe, or ``None``."""
+        if isinstance(self._col_indices, RowRuns):
+            return self._col_indices
+        return None
 
     @property
     def values(self) -> np.ndarray:
@@ -159,7 +232,7 @@ class CSRMatrix:
     @property
     def nnz(self) -> int:
         """Number of stored entries."""
-        return int(self.col_indices.shape[0])
+        return int(self.row_offsets[-1])
 
     @property
     def shape(self) -> tuple:
@@ -167,7 +240,11 @@ class CSRMatrix:
         return (self.num_rows, self.num_cols)
 
     def validate(self) -> None:
-        """Check structural invariants, raising :class:`SparseFormatError`."""
+        """Check structural invariants, raising :class:`SparseFormatError`.
+
+        Explicit column arrays are checked entry by entry; a :class:`RowRuns`
+        recipe is checked in O(rows) without expanding it.
+        """
         if self.num_rows < 0 or self.num_cols < 0:
             raise SparseFormatError("matrix dimensions must be non-negative")
         if self.row_offsets.shape != (self.num_rows + 1,):
@@ -175,16 +252,20 @@ class CSRMatrix:
                 "row_offsets must have length num_rows + 1, got "
                 f"{self.row_offsets.shape[0]} for {self.num_rows} rows"
             )
-        if self.col_indices.shape != self._values.shape:
-            raise SparseFormatError("col_indices and values must align")
         if self.row_offsets[0] != 0:
             raise SparseFormatError("row_offsets must start at 0")
-        if self.row_offsets[-1] != self.col_indices.shape[0]:
-            raise SparseFormatError("row_offsets must end at nnz")
         if np.any(np.diff(self.row_offsets) < 0):
             raise SparseFormatError("row_offsets must be non-decreasing")
-        if self.col_indices.shape[0]:
-            if self.col_indices.min() < 0 or self.col_indices.max() >= self.num_cols:
+        if self._values.shape != (self.nnz,):
+            raise SparseFormatError("values must hold one entry per nonzero")
+        columns = self._col_indices
+        if isinstance(columns, RowRuns):
+            columns.validate(self.row_offsets, self.num_cols)
+            return
+        if columns.shape != (self.nnz,):
+            raise SparseFormatError("row_offsets must end at nnz")
+        if columns.shape[0]:
+            if columns.min() < 0 or columns.max() >= self.num_cols:
                 raise SparseFormatError("column index out of bounds")
 
     # ------------------------------------------------------------------

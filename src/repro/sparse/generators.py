@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sparse.csr import CSRMatrix, uniform_values
+from repro.sparse.csr import CSRMatrix, RowRuns, uniform_values
 
 
 def _as_rng(rng) -> np.random.Generator:
@@ -42,7 +42,8 @@ def matrix_from_row_lengths(
     position per row, which guarantees uniqueness within a row while staying
     fully vectorized (the per-row rejection sampling of
     :meth:`CSRMatrix.from_row_lengths` is too slow for collection-sized
-    matrices).
+    matrices).  The runs are kept as a :class:`~repro.sparse.csr.RowRuns`
+    recipe, expanded only when something reads ``col_indices``.
     """
     rng = _as_rng(rng)
     row_lengths = np.asarray(row_lengths, dtype=np.int64)
@@ -63,32 +64,23 @@ def matrix_from_row_lengths(
     # Strides are capped so a row never wraps around, keeping columns unique.
     max_stride = np.maximum(1, (num_cols - 1) // np.maximum(row_lengths, 1))
     strides = 1 + (rng.integers(0, 8, size=num_rows) % max_stride)
-    # Entry k of a row is starts + k * strides; with the global position
-    # p = row_offsets + k that is p * strides + (starts - row_offsets * strides).
-    col_indices = np.arange(nnz, dtype=np.int64)
-    col_indices *= np.repeat(strides, row_lengths)
-    col_indices += np.repeat(starts - row_offsets[:-1] * strides, row_lengths)
-    col_indices %= num_cols
     return CSRMatrix(
         num_rows=num_rows,
         num_cols=num_cols,
         row_offsets=row_offsets,
-        col_indices=col_indices,
+        col_indices=RowRuns(starts=starts, strides=strides),
         values=uniform_values(rng, nnz),
     )
 
 
-def _row_runs_matrix(num_rows, row_offsets, row_lengths, starts, rng) -> CSRMatrix:
+def _row_runs_matrix(num_rows, row_offsets, starts, rng) -> CSRMatrix:
     """Square matrix whose row ``i`` holds columns ``starts[i], starts[i] + 1, ...``."""
-    nnz = int(row_offsets[-1])
-    col_indices = np.arange(nnz, dtype=np.int64)
-    col_indices += np.repeat(starts - row_offsets[:-1], row_lengths)
     return CSRMatrix(
         num_rows=num_rows,
         num_cols=num_rows,
         row_offsets=row_offsets,
-        col_indices=col_indices,
-        values=uniform_values(rng, nnz),
+        col_indices=RowRuns(starts=starts, strides=np.ones(num_rows, dtype=np.int64)),
+        values=uniform_values(rng, int(row_offsets[-1])),
     )
 
 
@@ -121,7 +113,7 @@ def banded_matrix(num_rows: int, bandwidth: int, rng=0) -> CSRMatrix:
     row_lengths = stops - starts
     row_offsets = np.zeros(num_rows + 1, dtype=np.int64)
     row_offsets[1:] = np.cumsum(row_lengths)
-    return _row_runs_matrix(num_rows, row_offsets, row_lengths, starts, rng)
+    return _row_runs_matrix(num_rows, row_offsets, starts, rng)
 
 
 def uniform_random_matrix(
@@ -188,7 +180,7 @@ def block_diagonal_matrix(num_blocks: int, block_size: int, rng=0) -> CSRMatrix:
     row_offsets[1:] = np.cumsum(row_lengths)
     rows = np.arange(num_rows, dtype=np.int64)
     block_starts = (rows // block_size) * block_size
-    return _row_runs_matrix(num_rows, row_offsets, row_lengths, block_starts, rng)
+    return _row_runs_matrix(num_rows, row_offsets, block_starts, rng)
 
 
 def road_network_matrix(num_rows: int, rng=0) -> CSRMatrix:
@@ -229,7 +221,7 @@ def variable_block_matrix(
     block_starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
     row_offsets = np.zeros(num_rows + 1, dtype=np.int64)
     row_offsets[1:] = np.cumsum(row_lengths)
-    return _row_runs_matrix(num_rows, row_offsets, row_lengths, block_starts, rng)
+    return _row_runs_matrix(num_rows, row_offsets, block_starts, rng)
 
 
 def stencil_matrix(num_rows: int, points: int = 9, rng=0) -> CSRMatrix:

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.sparse.coo import COOMatrix, SparseFormatError
-from repro.sparse.csr import CSRMatrix, DeferredValues
+from repro.sparse.csr import CSRMatrix, DeferredValues, RowRuns
 
 _SUPPORTED_FIELDS = {"real", "integer", "pattern"}
 _SUPPORTED_SYMMETRIES = {"general", "symmetric", "skew-symmetric"}
@@ -216,8 +216,19 @@ def write_matrix_market(matrix, path) -> None:
 # CSR <-> .npz archives
 # ----------------------------------------------------------------------
 def csr_to_npz_bytes(matrix: CSRMatrix) -> bytes:
-    """Serialized ``.npz`` form of one CSR matrix (never draws its values)."""
+    """Serialized ``.npz`` form of one CSR matrix.
+
+    Never draws deferred values and never expands column runs.
+    """
     col_dtype = np.int32 if matrix.num_cols <= np.iinfo(np.int32).max else np.int64
+    runs = matrix.column_runs
+    if runs is None:
+        columns = {"col_indices": matrix.col_indices.astype(col_dtype, copy=False)}
+    else:
+        columns = {
+            "run_starts": runs.starts.astype(col_dtype, copy=False),
+            "run_strides": runs.strides.astype(col_dtype, copy=False),
+        }
     deferred = matrix.deferred_values
     if deferred is None:
         values = {"values": matrix.values}
@@ -229,7 +240,7 @@ def csr_to_npz_bytes(matrix: CSRMatrix) -> bytes:
         num_rows=np.int64(matrix.num_rows),
         num_cols=np.int64(matrix.num_cols),
         row_offsets=matrix.row_offsets,
-        col_indices=matrix.col_indices.astype(col_dtype, copy=False),
+        **columns,
         **values,
     )
     return buffer.getvalue()
@@ -240,23 +251,30 @@ def csr_from_npz_bytes(data: bytes) -> CSRMatrix:
 
     Raises :class:`~repro.sparse.coo.SparseFormatError` for every archive
     that is not a valid CSR layout — truncated or corrupt zip data, missing
-    arrays, a malformed ``values_state`` — so callers catch one exception
-    family.
+    arrays, a malformed ``values_state``, column runs that are out of range
+    or would repeat a column — so callers catch one exception family.
     """
     try:
         with np.load(io.BytesIO(data)) as arrays:
-            col_indices = arrays["col_indices"]
+            row_offsets = arrays["row_offsets"]
+            if "col_indices" in arrays.files:
+                columns = arrays["col_indices"]
+            else:
+                columns = RowRuns(
+                    starts=arrays["run_starts"].astype(np.int64),
+                    strides=arrays["run_strides"].astype(np.int64),
+                )
             if "values" in arrays.files:
                 values = arrays["values"]
             else:
                 values = DeferredValues.from_words(
-                    arrays["values_state"], col_indices.shape[0]
+                    arrays["values_state"], int(row_offsets[-1])
                 )
             return CSRMatrix(
                 num_rows=int(arrays["num_rows"]),
                 num_cols=int(arrays["num_cols"]),
-                row_offsets=arrays["row_offsets"],
-                col_indices=col_indices,
+                row_offsets=row_offsets,
+                col_indices=columns,
                 values=values,
             )
     except SparseFormatError:

@@ -364,6 +364,25 @@ def test_sweeps_never_draw_matrix_values(domain, tmp_path, monkeypatch):
     assert warm.stats.matrix_cache_hits == warm.stats.matrices_measured
 
 
+def test_spmv_sweeps_never_expand_column_runs(tmp_path, monkeypatch):
+    """SpMV features and cost models read row_offsets only: columns stay runs."""
+    from repro.sparse.csr import RowRuns
+
+    def _refuse(self, row_offsets, num_cols):
+        raise AssertionError("a sweep expanded column runs")
+
+    monkeypatch.setattr(RowRuns, "expand", _refuse)
+    cold = SweepEngine(jobs=1, cache_dir=tmp_path)
+    cold.run_sweep(profile="tiny", domain="spmv")
+    shutil.rmtree(tmp_path / "measurements")
+    shutil.rmtree(tmp_path / "sweeps")
+    warm = SweepEngine(jobs=1, cache_dir=tmp_path)
+    warm.run_sweep(profile="tiny", domain="spmv")
+    assert cold.stats.matrices_generated > 0
+    assert warm.stats.matrices_generated == 0
+    assert warm.stats.matrix_cache_hits == warm.stats.matrices_measured
+
+
 def test_matrix_roundtrips_through_npz():
     from repro.bench.engine import matrix_from_bytes, matrix_to_bytes
     from repro.sparse import generators as gen

@@ -272,27 +272,43 @@ def _drawn(matrix):
     return matrix
 
 
+def _expanded(matrix):
+    assert matrix.col_indices.shape == (matrix.nnz,)  # expands the column runs
+    return matrix
+
+
 #: num_cols = 2**31 does not fit int32, so the archive keeps int64 columns.
 WIDE = 2**31
 
 ARCHIVE_CASES = {
     "deferred": lambda: power_law_matrix(60, 45, 4.0, rng=6),
     "drawn": lambda: _drawn(power_law_matrix(60, 45, 4.0, rng=6)),
+    "expanded": lambda: _expanded(power_law_matrix(60, 45, 4.0, rng=6)),
     "wide": lambda: CSRMatrix(2, WIDE, [0, 1, 3], [0, 5, WIDE - 1], [1.0, 2.0, 3.0]),
+    "wide-runs": lambda: power_law_matrix(3, WIDE, 2.0, rng=6),
 }
 
 
 def test_archive_narrows_columns_and_stores_the_values_recipe():
     deferred = _archive_arrays(csr_to_npz_bytes(ARCHIVE_CASES["deferred"]()))
-    assert deferred["col_indices"].dtype == np.int32
+    assert deferred["run_starts"].dtype == np.int32
+    assert deferred["run_strides"].dtype == np.int32
+    assert deferred["run_starts"].shape == deferred["run_strides"].shape == (60,)
+    assert "col_indices" not in deferred
     assert deferred["row_offsets"].dtype == np.int64
     assert deferred["values_state"].dtype == np.uint64
     assert "values" not in deferred
     drawn = _archive_arrays(csr_to_npz_bytes(ARCHIVE_CASES["drawn"]()))
     assert drawn["values"].dtype == np.float64
     assert "values_state" not in drawn
+    assert drawn["run_starts"].dtype == np.int32
+    expanded = _archive_arrays(csr_to_npz_bytes(ARCHIVE_CASES["expanded"]()))
+    assert expanded["col_indices"].dtype == np.int32
+    assert "run_starts" not in expanded and "run_strides" not in expanded
     wide = _archive_arrays(csr_to_npz_bytes(ARCHIVE_CASES["wide"]()))
     assert wide["col_indices"].dtype == np.int64
+    wide_runs = _archive_arrays(csr_to_npz_bytes(ARCHIVE_CASES["wide-runs"]()))
+    assert wide_runs["run_starts"].dtype == wide_runs["run_strides"].dtype == np.int64
 
 
 @pytest.mark.parametrize("case", sorted(ARCHIVE_CASES))
@@ -319,6 +335,36 @@ def _malformed_state(path):
     np.savez(path, **arrays)
 
 
+def _edited_runs(edit):
+    """Writer of a format-4 archive whose column runs ``edit`` corrupts."""
+
+    def write(path):
+        matrix = power_law_matrix(60, 45, 4.0, rng=6)
+        arrays = _archive_arrays(csr_to_npz_bytes(matrix))
+        edit(arrays, matrix.row_lengths())
+        np.savez(path, **arrays)
+
+    return write
+
+
+def _start_out_of_range(arrays, lengths):
+    arrays["run_starts"][0] = 45  # num_cols
+
+
+def _stride_below_one(arrays, lengths):
+    arrays["run_strides"][-1] = 0
+
+
+def _run_repeats_a_column(arrays, lengths):
+    # A stride of num_cols maps every entry of a row onto its start column.
+    arrays["run_strides"][np.argmax(lengths >= 2)] = 45
+
+
+def _runs_of_wrong_length(arrays, lengths):
+    arrays["run_starts"] = arrays["run_starts"][:-1]
+    arrays["run_strides"] = arrays["run_strides"][:-1]
+
+
 def _bad_crc(path):
     data = bytearray(csr_to_npz_bytes(power_law_matrix(60, 45, 4.0, rng=6)))
     data[len(data) // 2] ^= 0xFF
@@ -329,7 +375,15 @@ def _truncated(path):
     path.write_bytes(csr_to_npz_bytes(power_law_matrix(60, 45, 4.0, rng=6))[:300])
 
 
-UNREADABLE = {"malformed-state": _malformed_state, "bad-crc": _bad_crc, "truncated": _truncated}
+UNREADABLE = {
+    "malformed-state": _malformed_state,
+    "bad-crc": _bad_crc,
+    "truncated": _truncated,
+    "run-start-out-of-range": _edited_runs(_start_out_of_range),
+    "run-stride-below-one": _edited_runs(_stride_below_one),
+    "run-repeats-a-column": _edited_runs(_run_repeats_a_column),
+    "runs-of-wrong-length": _edited_runs(_runs_of_wrong_length),
+}
 
 #: The two matrix cache tiers: (module, loader returning None on a miss).
 TIER_LOADERS = [
