@@ -111,29 +111,45 @@ def uniform_values(rng: np.random.Generator, size: int):
 class RowRuns:
     """Column indices not yet expanded: one arithmetic run per row.
 
-    Row ``i`` holds columns ``(starts[i] + k * strides[i]) % num_cols`` for
-    ``k`` in ``range(row_length)``, the layout every run generator in
-    :mod:`repro.sparse.generators` draws.  Seer's features and every SpMV
-    cost model read only ``row_offsets``, so most generated matrices never
-    expand the recipe: it costs two integers per row instead of one per
-    nonzero.
+    Row ``i`` holds the columns ``(starts[i] + k * strides[i]) % num_cols``
+    for ``k`` in ``range(row_length)``, the layout every run generator in
+    :mod:`repro.sparse.generators` draws, in ascending order.  Seer's
+    features and every SpMV cost model read only ``row_offsets``, so most
+    generated matrices never expand the recipe: it costs two integers per
+    row instead of one per nonzero.
     """
 
     starts: np.ndarray
     strides: np.ndarray
 
     def expand(self, row_offsets: np.ndarray, num_cols: int) -> np.ndarray:
-        """The int64 column indices of a matrix with these ``row_offsets``."""
+        """The int64 column indices of a matrix with these ``row_offsets``.
+
+        A run that passes ``num_cols`` wraps to the front of its row, so it
+        is emitted as its two ascending segments: the ``tail`` entries that
+        wrapped, then the run from its start.  Sorted entry ``k`` of a row is
+        run entry ``k - tail``, modulo the row length.
+        """
         nnz = int(row_offsets[-1])
         if nnz == 0:
             return np.empty(0, dtype=np.int64)
         lengths = np.diff(row_offsets)
-        # Entry k of a row is starts + k * strides; with the global position
-        # p = row_offsets + k that is p * strides + (starts - row_offsets * strides).
+        fits = -((self.starts - num_cols) // self.strides)
+        tail = np.maximum(lengths - fits, 0)
         cols = np.arange(nnz, dtype=np.int64)
+        cols -= np.repeat(row_offsets[:-1] + tail, lengths)
         cols *= np.repeat(self.strides, lengths)
-        cols += np.repeat(self.starts - row_offsets[:-1] * self.strides, lengths)
-        cols %= num_cols
+        cols += np.repeat(self.starts, lengths)
+        # The first ``tail`` entries of a row are run entries
+        # ``k - tail + length``, past num_cols before wrapping.
+        wrapped = np.flatnonzero(tail)
+        if wrapped.shape[0]:
+            counts = tail[wrapped]
+            heads = np.repeat(row_offsets[wrapped] - np.cumsum(counts) + counts, counts)
+            heads += np.arange(heads.shape[0])
+            cols[heads] += np.repeat(
+                lengths[wrapped] * self.strides[wrapped] - num_cols, counts
+            )
         return cols
 
     def validate(self, row_offsets: np.ndarray, num_cols: int) -> None:

@@ -61,7 +61,8 @@ def matrix_from_row_lengths(
             values=np.empty(0, dtype=np.float64),
         )
     starts = rng.integers(0, num_cols, size=num_rows)
-    # Strides are capped so a row never wraps around, keeping columns unique.
+    # Strides are capped so that (length - 1) * stride < num_cols: a run may
+    # wrap past num_cols, but never far enough to repeat a column.
     max_stride = np.maximum(1, (num_cols - 1) // np.maximum(row_lengths, 1))
     strides = 1 + (rng.integers(0, 8, size=num_rows) % max_stride)
     return CSRMatrix(

@@ -98,6 +98,24 @@ def test_occupancy_bounds_and_ordering(small_matrices):
         assert features.var_row_density >= 0.0
 
 
+def test_occupancy_counts_distinct_blocks_on_wrapped_rows():
+    # Rows of 40 strided columns out of 300 often wrap past the last column.
+    matrix = gen.regular_matrix(400, 300, 40, rng=11)
+    runs = matrix.column_runs
+    last = runs.starts + (matrix.row_lengths() - 1) * runs.strides
+    assert np.count_nonzero(last >= matrix.num_cols) > 100
+    num_blocks = -(-matrix.num_cols // COLUMN_BLOCK)
+    occupancy = np.array(
+        [
+            np.unique(matrix.row_slice(row)[0] // COLUMN_BLOCK).shape[0] / num_blocks
+            for row in range(matrix.num_rows)
+        ]
+    )
+    features = spmm_gathered_features(_workload(matrix))
+    assert features.max_block_occupancy == occupancy.max()
+    assert features.mean_block_occupancy == pytest.approx(occupancy.mean(), rel=1e-12)
+
+
 def test_empty_matrix_features_are_zero():
     empty = gen.diagonal_matrix(0, rng=1)
     features = spmm_gathered_features(_workload(empty))

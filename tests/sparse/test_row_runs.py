@@ -25,22 +25,36 @@ RUN_GENERATORS = {
 
 
 def _reference_columns(matrix: CSRMatrix) -> list:
-    """Row by row, the run each generator draws: ``(start + k * stride) % n``."""
+    """Row by row, the sorted run each generator draws: ``(start + k * stride) % n``."""
     runs = matrix.column_runs
     columns = []
     for start, stride, length in zip(runs.starts, runs.strides, matrix.row_lengths()):
-        columns.extend((int(start) + k * int(stride)) % matrix.num_cols for k in range(length))
+        run = [(int(start) + k * int(stride)) % matrix.num_cols for k in range(length)]
+        columns.extend(sorted(run))
     return columns
 
 
+def _wrapped_rows(matrix: CSRMatrix) -> int:
+    runs = matrix.column_runs
+    last = runs.starts + (matrix.row_lengths() - 1) * runs.strides
+    return int(np.count_nonzero(last >= matrix.num_cols))
+
+
 @pytest.mark.parametrize("family", sorted(RUN_GENERATORS))
-def test_run_generators_expand_to_the_reference_runs(family):
+def test_run_generators_expand_to_the_sorted_reference_runs(family):
     matrix = RUN_GENERATORS[family]()
     assert matrix.column_runs is not None
     expected = _reference_columns(matrix)
     columns = matrix.col_indices
     assert columns.dtype == np.int64
     assert columns.tolist() == expected
+
+
+def test_wrapped_runs_expand_to_ascending_rows():
+    matrix = gen.regular_matrix(400, 300, 40, rng=11)
+    assert _wrapped_rows(matrix) > 100
+    expected = _reference_columns(matrix)
+    assert matrix.col_indices.tolist() == expected
 
 
 def test_nnz_validate_and_archive_leave_the_runs_unexpanded(monkeypatch):
@@ -69,12 +83,12 @@ def test_columns_expand_once():
     num_cols=st.integers(min_value=1, max_value=60),
     seed=st.integers(min_value=0, max_value=2**32),
 )
-def test_generated_runs_stay_in_bounds_and_unique(lengths, num_cols, seed):
+def test_generated_runs_stay_in_bounds_sorted_and_unique(lengths, num_cols, seed):
     matrix = gen.matrix_from_row_lengths(np.array(lengths), num_cols, rng=seed)
     matrix.validate()
     for row in range(matrix.num_rows):
         cols, _ = matrix.row_slice(row)
-        assert len(set(cols.tolist())) == cols.shape[0]
+        assert np.all(np.diff(cols) > 0)
         assert cols.shape[0] == 0 or (cols.min() >= 0 and cols.max() < num_cols)
 
 
