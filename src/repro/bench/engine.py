@@ -32,12 +32,16 @@ to come by twice:
   the simulator or the training code invalidates measurements and sweeps but
   *not* the generated matrices — re-benchmarking after such an edit skips
   the generation cost entirely.  Matrices are structure-first: a generator's
-  values draw is a deferred :class:`~repro.sparse.csr.DeferredValues` recipe
-  that the sweep never draws, so an artifact holds ``row_offsets`` (int64),
-  ``col_indices`` (int32 when ``num_cols`` fits) and the recipe's six-word
-  ``values_state`` — about 4.8 bytes per nonzero instead of 16.8.  An
-  unreadable artifact (absent, truncated, failing its zip CRC, malformed) is
-  a miss: the matrix is regenerated and the slot overwritten.
+  columns are a :class:`~repro.sparse.csr.RowRuns` recipe (one start and
+  one stride per row) and its values draw a deferred
+  :class:`~repro.sparse.csr.DeferredValues` recipe, and an SpMV sweep
+  expands neither.  An artifact holds ``row_offsets`` (int64),
+  ``run_starts``/``run_strides`` (int32 when ``num_cols`` fits) and the
+  six-word ``values_state``: 16 bytes per row, so the ``medium`` tier is
+  230 MB where per-nonzero int32 columns made it 705 MB.  Stencil and
+  diagonal matrices keep explicit ``col_indices``.  An unreadable artifact
+  (absent, truncated, failing its zip CRC, malformed) is a miss: the matrix
+  is regenerated and the slot overwritten.
 
 The engine is domain-aware: every cache key embeds the active
 :class:`~repro.domains.ProblemDomain`'s name, workers resolve the domain by
@@ -50,7 +54,7 @@ Cache layout::
       sweeps/<config-hash>.pkl        # whole SweepResult artifacts
       sweeps/<config-hash>.json       # human-readable config for debugging
       measurements/<matrix-hash>.json # per-workload MatrixMeasurement records
-      matrices/<recipe-hash>.npz      # generated CSR structure + values_state
+      matrices/<recipe-hash>.npz      # row_offsets + column runs + values_state
 """
 
 from __future__ import annotations

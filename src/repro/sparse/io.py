@@ -17,11 +17,21 @@ The ``.npz`` helpers (:func:`save_npz` / :func:`load_npz`) round-trip a
 :class:`~repro.sparse.csr.CSRMatrix` through one uncompressed NumPy archive
 (the zip CRC still detects corruption); the sweep engine's generated-matrix
 tier and the serving layer's ingest cache both store this layout.  The
-archive holds ``row_offsets`` (int64), ``col_indices`` (int32 whenever
-``num_cols`` fits, else int64) and either the float64 ``values`` or, for a
-matrix whose values were never drawn, the six-word ``values_state`` recipe
-of :class:`~repro.sparse.csr.DeferredValues` — about 4.8 bytes per nonzero
-for a generated matrix instead of 16.8.
+archive holds ``row_offsets`` (int64) and two pairs of alternatives:
+
+* the columns as ``col_indices`` or, for a matrix whose
+  :class:`~repro.sparse.csr.RowRuns` were never expanded, as one
+  ``run_starts`` and one ``run_strides`` entry per row — int32 whenever
+  ``num_cols`` fits, else int64;
+* the float64 ``values`` or, for a matrix whose values were never drawn,
+  the six-word ``values_state`` recipe of
+  :class:`~repro.sparse.csr.DeferredValues`.
+
+A generated matrix therefore costs 16 bytes per row, whatever its row
+lengths, where per-nonzero int32 columns cost about 4.8 bytes per nonzero.
+The loader validates the column runs like any other member: runs that are
+out of range or would repeat a column are a
+:class:`~repro.sparse.coo.SparseFormatError`.
 """
 
 from __future__ import annotations
