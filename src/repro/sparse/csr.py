@@ -134,6 +134,7 @@ class RowRuns:
         if nnz == 0:
             return np.empty(0, dtype=np.int64)
         lengths = np.diff(row_offsets)
+        # ceil((num_cols - starts) / strides) run entries stay below num_cols.
         fits = -((self.starts - num_cols) // self.strides)
         tail = np.maximum(lengths - fits, 0)
         cols = np.arange(nnz, dtype=np.int64)
