@@ -37,6 +37,9 @@ MATRIX_SUFFIXES = (".mtx", ".mtx.gz", ".npz")
 #: Prefix marking a synthetic-recipe source.
 RECIPE_PREFIX = "recipe:"
 
+#: Bytes :func:`source_digest` reads from a file per hash update.
+DIGEST_CHUNK_BYTES = 1 << 20
+
 
 class MatrixSourceError(ValueError):
     """A matrix source cannot be resolved, parsed or built."""
@@ -214,15 +217,19 @@ def source_digest(source) -> str:
     sources hash their canonical spec.
     """
     source = resolve_source(source)
+    digest = hashlib.sha256()
     if source.kind == "recipe":
-        payload = _canonical_recipe(source.location).encode()
+        digest.update(_canonical_recipe(source.location).encode())
     else:
+        # Streamed in fixed chunks so a multi-GB file is never held whole.
         path = Path(source.location)
         try:
-            payload = path.read_bytes()
+            with path.open("rb") as handle:
+                for chunk in iter(lambda: handle.read(DIGEST_CHUNK_BYTES), b""):
+                    digest.update(chunk)
         except OSError as exc:
             raise MatrixSourceError(f"{path}: unreadable ({exc})") from exc
-    return hashlib.sha256(payload).hexdigest()[:24]
+    return digest.hexdigest()[:24]
 
 
 def _manifest_sources(path: Path) -> list:

@@ -19,7 +19,12 @@ Scaling machinery is reused from the sweep engine:
   :func:`repro.bench.engine.stable_hash` over the source's *content digest*
   (file bytes or canonical recipe) plus the ``repro.sparse`` source digest,
   so re-serving a corpus skips Matrix-Market parsing entirely while any
-  file edit or parser change retires stale entries.
+  file edit or parser change retires stale entries.  Computing the key
+  reads and hashes the whole file; a long-lived daemon
+  (:mod:`repro.serving.service`) memoizes the digest of a file whose
+  ``stat`` identity (device, inode, size, mtime and ctime) is unchanged, so
+  its cache hit costs a ``stat`` plus the ``.npz`` decode.  Any write,
+  ``os.utime`` or replacement changes that identity and retires the memo.
 """
 
 from __future__ import annotations
@@ -97,25 +102,26 @@ class IngestCache:
         # the shell-expanded CLI examples do.
         self.root = Path(root).expanduser()
 
+    def digest(self, source) -> str:
+        """The content digest :meth:`key` embeds.
+
+        Reads and hashes a file source in full; the daemon's cache overrides
+        this with a memo of digests whose files have not changed since.
+        """
+        return source_digest(source)
+
     def key(self, source) -> str:
         return stable_hash(
             {
                 "format": INGEST_FORMAT_VERSION,
                 "sparse": generator_code_version(),
                 "kind": source.kind,
-                "content": source_digest(source),
+                "content": self.digest(source),
             }
         )
 
     def path(self, source) -> Path:
         return self.root / "ingest" / f"{self.key(source)}.npz"
-
-    def load(self, source):
-        """The cached parse of ``source``, or ``None`` on miss/corruption."""
-        return _load_cached_matrix(self.path(source))
-
-    def store(self, source, matrix: CSRMatrix) -> None:
-        _store_cached_matrix(self.path(source), matrix)
 
 
 def _load_cached_matrix(path: Path):
@@ -134,9 +140,9 @@ def _store_cached_matrix(path: Path, matrix: CSRMatrix) -> None:
 def ingest_matrix(source, cache=None) -> tuple:
     """Resolve one source to a CSR matrix; returns ``(matrix, cache_hit)``.
 
-    The cache key — which reads and digests the source's content — is
-    computed once per call, not once per load/store, so a cache miss on a
-    huge Matrix-Market file hashes its bytes a single time.
+    The cache key — which digests the source's content — is computed once
+    per call, so a cache miss on a huge Matrix-Market file hashes its bytes
+    a single time.
     """
     if cache is None:
         return load_source(source), False

@@ -20,6 +20,9 @@ The moving parts, stdlib only:
   :class:`~repro.serving.registry.ModelRegistry`) and keeps them, plus one
   warm :class:`~repro.pipeline.FeaturePipeline` per domain, for the life of
   the process;
+* :class:`MemoizedIngestCache` — the content-addressed ingest cache plus a
+  memo of file digests keyed by ``stat`` identity, so a cache hit on an
+  unchanged file skips reading and hashing it;
 * :class:`DynamicBatcher` — a condition-variable admission queue: a batch
   flushes when it reaches ``max_batch_size`` (*full*), when no request
   the front end has admitted is still being read, so nothing else can
@@ -45,9 +48,11 @@ open window and flushes the moment none can.
 from __future__ import annotations
 
 import json
+import os
 import socket
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -67,6 +72,15 @@ from repro.serving.requests import (
 #: pattern: everything a run produced, together under one root).
 REQUEST_LOG_FILE_NAME = "requests.log"
 SUMMARY_FILE_NAME = "summary.json"
+
+#: Most file digests the daemon's ingest cache remembers; the oldest entry
+#: is evicted first.
+DIGEST_MEMO_MAX_ENTRIES = 4096
+
+#: Seconds a file's newest timestamp (mtime or ctime) must predate the start
+#: of its hashing before its digest is memoized — git's "racy clean" rule,
+#: with the coarsest common timestamp granularity (FAT's 2 s) as margin.
+DIGEST_MEMO_RACY_MARGIN_S = 2.0
 
 #: Seconds a connection handler waits on a silent client socket.  An idle
 #: keep-alive connection is closed after it, so it cannot hold graceful
@@ -394,6 +408,7 @@ class ServiceMetrics:
     source_requests: int = 0
     matrices_ingested: int = 0
     ingest_cache_hits: int = 0
+    ingest_digest_memo_hits: int = 0
     gathered_routed: int = 0
     batches_total: int = 0
     batch_occupancy_sum: int = 0
@@ -441,6 +456,10 @@ class ServiceMetrics:
                 self.latency_ms_sum += latency
                 self.latency_ms_max = max(self.latency_ms_max, latency)
 
+    def record_digest_memo_hit(self) -> None:
+        with self._lock:
+            self.ingest_digest_memo_hits += 1
+
     def record_error(self, latency_ms: Optional[float] = None) -> None:
         """Count one failed request; its latency stays out of the success
         histogram and lands in the separate error bucket instead."""
@@ -473,6 +492,7 @@ class ServiceMetrics:
                 "source_requests": self.source_requests,
                 "matrices_ingested": self.matrices_ingested,
                 "ingest_cache_hits": self.ingest_cache_hits,
+                "ingest_digest_memo_hits": self.ingest_digest_memo_hits,
                 "ingest_cache_hit_rate": (
                     self.ingest_cache_hits
                     / max(self.ingest_cache_hits + self.matrices_ingested, 1)
@@ -492,6 +512,72 @@ class ServiceMetrics:
                 "uptime_s": uptime,
                 "throughput_rps": served / uptime,
             }
+
+
+# ----------------------------------------------------------------------
+# Ingest digest memo
+# ----------------------------------------------------------------------
+def _wall_clock_ns() -> int:
+    """Wall-clock time, the clock file timestamps are taken on."""
+    return time.time_ns()
+
+
+def _stat_identity(location: str) -> Optional[tuple]:
+    """What changes when a file is edited, replaced or re-timestamped."""
+    try:
+        st = os.stat(location)
+    except OSError:
+        return None
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns)
+
+
+class MemoizedIngestCache(IngestCache):
+    """An :class:`IngestCache` that remembers file digests across requests.
+
+    A file source whose ``stat`` identity matches the one recorded when it
+    was hashed reuses that digest, so a cache hit on an unchanged file costs
+    a ``stat`` instead of a full read and hash.  The kernel bumps ``ctime``
+    on every write and ``os.utime``, and a replacement brings a new inode,
+    so any edit retires the entry.  A digest is recorded only when the
+    identity is the same before and after hashing and the file's newest
+    timestamp predates the hashing by :data:`DIGEST_MEMO_RACY_MARGIN_S`: an
+    edit within one timestamp tick of the hash could otherwise leave the
+    identity unchanged.  Recipe sources hash their spec as before.  Keys
+    are identical to the plain cache's.
+    """
+
+    def __init__(self, root, on_memo_hit=None):
+        super().__init__(root)
+        self._on_memo_hit = on_memo_hit
+        self._memo_lock = threading.Lock()
+        self._memo: "OrderedDict[str, tuple]" = OrderedDict()
+
+    def digest(self, source) -> str:
+        if source.kind == "recipe":
+            return super().digest(source)
+        location = source.location
+        identity = _stat_identity(location)
+        with self._memo_lock:
+            entry = self._memo.get(location)
+        if entry is not None and entry[0] == identity:
+            if self._on_memo_hit is not None:
+                self._on_memo_hit()
+            return entry[1]
+        started_ns = _wall_clock_ns()
+        digest = super().digest(source)
+        settled = (
+            identity is not None
+            and _stat_identity(location) == identity
+            and max(identity[3], identity[4])
+            <= started_ns - int(DIGEST_MEMO_RACY_MARGIN_S * 1e9)
+        )
+        if settled:
+            with self._memo_lock:
+                self._memo[location] = (identity, digest)
+                self._memo.move_to_end(location)
+                while len(self._memo) > DIGEST_MEMO_MAX_ENTRIES:
+                    self._memo.popitem(last=False)
+        return digest
 
 
 # ----------------------------------------------------------------------
@@ -685,6 +771,9 @@ class _ServingHTTPServer(ThreadingHTTPServer):
     # requests write their responses before the process exits.
     daemon_threads = False
     block_on_close = True
+    # socketserver's default backlog of 5 resets connections from a burst
+    # of concurrent clients before the accept loop reaches them.
+    request_queue_size = 128
     service: "ServingService" = None
 
 
@@ -897,10 +986,14 @@ class ServingService:
         self.config = config
         self.device = device
         self.hub = ModelHub(config, device=device)
-        self.cache = (
-            IngestCache(config.cache_dir) if config.cache_dir is not None else None
-        )
         self.metrics = ServiceMetrics()
+        self.cache = (
+            MemoizedIngestCache(
+                config.cache_dir, on_memo_hit=self.metrics.record_digest_memo_hit
+            )
+            if config.cache_dir is not None
+            else None
+        )
         self.draining = False
         self._accepting = False
         self._shutdown_lock = threading.Lock()

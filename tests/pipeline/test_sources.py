@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.pipeline.sources import (
+    DIGEST_CHUNK_BYTES,
     MatrixSource,
     MatrixSourceError,
     build_recipe,
@@ -100,6 +101,17 @@ def test_file_digest_tracks_content(tmp_path):
     assert source_digest(tmp_path / "a.mtx") == source_digest(tmp_path / "b.mtx")
     write_matrix_market(power_law_matrix(10, 10, 2.0, rng=2), tmp_path / "b.mtx")
     assert source_digest(tmp_path / "a.mtx") != source_digest(tmp_path / "b.mtx")
+
+
+@pytest.mark.parametrize("size", [0, 1, DIGEST_CHUNK_BYTES, DIGEST_CHUNK_BYTES + 1])
+def test_streamed_file_digest_matches_whole_file_hash(tmp_path, size):
+    """Chunked hashing is byte-identical to hashing the file in one piece."""
+    import hashlib
+
+    path = tmp_path / "blob.mtx"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    expected = hashlib.sha256(path.read_bytes()).hexdigest()[:24]
+    assert source_digest(path) == expected
 
 
 def test_missing_file_raises_source_error(tmp_path):

@@ -520,6 +520,35 @@ def test_lone_http_request_does_not_wait_for_the_timer(model_path, tiny_sweep):
     assert metrics["timer_flushes"] == 0
 
 
+def test_connection_burst_is_served_not_reset(model_path, tiny_sweep):
+    """64 clients connecting at once all get answers (socketserver's default
+    listen backlog of 5 reset some of them)."""
+    statuses, errors = [], []
+
+    def client(url, name):
+        try:
+            status, _ = _post(url, _inline_payload(tiny_sweep, name))
+            statuses.append(status)
+        except OSError as error:
+            errors.append(repr(error))
+
+    with ServingService(_config(model_path)) as service:
+        for burst in range(3):
+            threads = [
+                threading.Thread(
+                    target=client, args=(service.url + "/v1/serve", f"b{burst}-{i}")
+                )
+                for i in range(64)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert statuses == [200] * 3 * 64
+
+
 @pytest.mark.parametrize("length", ["abc", "-5"])
 def test_malformed_content_length_answers_400(model_path, length):
     with ServingService(_config(model_path)) as service:
