@@ -48,6 +48,7 @@ open window and flushes the moment none can.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import socket
 import threading
@@ -67,6 +68,8 @@ from repro.serving.requests import (
     ServeRequest,
     evaluate_requests,
 )
+
+logger = logging.getLogger(__name__)
 
 #: File names of one daemon run's log-directory artifacts (the run-directory
 #: pattern: everything a run produced, together under one root).
@@ -1210,17 +1213,24 @@ class ServingService:
         self.batcher.close()
         self._httpd.server_close()
         summary = self.summary()
-        if self.config.log_dir is not None:
-            summary_path = Path(self.config.log_dir) / SUMMARY_FILE_NAME
-            summary_path.write_text(
-                json.dumps(summary, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-        if self._log_handle is not None:
-            with self._log_lock:
-                self._log_handle.close()
-                self._log_handle = None
-        self._shutdown_done.set()
+        try:
+            if self.config.log_dir is not None:
+                summary_path = Path(self.config.log_dir) / SUMMARY_FILE_NAME
+                try:
+                    summary_path.write_text(
+                        json.dumps(summary, indent=2, sort_keys=True) + "\n",
+                        encoding="utf-8",
+                    )
+                except OSError:
+                    logger.exception("could not write %s", summary_path)
+        finally:
+            # Later callers wait on this event: a failed write must not
+            # leave them waiting forever.
+            if self._log_handle is not None:
+                with self._log_lock:
+                    self._log_handle.close()
+                    self._log_handle = None
+            self._shutdown_done.set()
         return summary
 
     def summary(self) -> dict:

@@ -9,9 +9,20 @@ paper's tooling does — ``repro serve`` ingests whole directories of them.
 Only the ``matrix coordinate`` container is supported (real / integer /
 pattern fields, general / symmetric / skew-symmetric symmetry), which covers
 the SuiteSparse collection.  Malformed files — bad headers, truncated entry
-lists, out-of-range 1-based coordinates, duplicate entries — all raise
+lists, out-of-range 1-based coordinates, duplicate entries, indices that
+overflow int64, a declared entry count the body does not hold — all raise
 :class:`MatrixMarketError` with a message naming the offending file, never
 a bare NumPy error.
+
+No Python code runs once per entry.  After the header and size line, one
+streamed :func:`numpy.loadtxt` call tokenizes the whole body in C from the
+open (possibly gzip) text handle into int64 rows and columns and float64
+values, 24 bytes per entry; nothing is preallocated from the declared
+count, which is checked after the parse.  Symmetric files are mirrored, and
+then the entries are sorted once, by a single int64 ``row * width + col``
+key (``lexsort`` only when that key would overflow).  That one sort finds
+duplicate coordinates and orders the CSR arrays.  The writer formats
+fixed-size chunks of entries with one ``str.join`` and one ``write`` each.
 
 The ``.npz`` helpers (:func:`save_npz` / :func:`load_npz`) round-trip a
 :class:`~repro.sparse.csr.CSRMatrix` through one uncompressed NumPy archive
@@ -38,6 +49,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import warnings
 import zipfile
 import zlib
 from pathlib import Path
@@ -49,6 +61,10 @@ from repro.sparse.csr import CSRMatrix, DeferredValues, RowRuns
 
 _SUPPORTED_FIELDS = {"real", "integer", "pattern"}
 _SUPPORTED_SYMMETRIES = {"general", "symmetric", "skew-symmetric"}
+_ENTRY_FIELDS = [("row", np.int64), ("col", np.int64), ("value", np.float64)]
+
+#: Entries :func:`write_matrix_market` formats per ``write`` call.
+WRITE_CHUNK_ENTRIES = 65536
 
 
 class MatrixMarketError(SparseFormatError):
@@ -76,38 +92,70 @@ def _open_text(path: Path):
     return path.open("r", encoding="utf-8")
 
 
-def _check_coordinates(
-    values: np.ndarray, upper: int, what: str, path: Path
-) -> None:
+def _check_coordinates(values: np.ndarray, upper: int, what: str, path: Path) -> None:
     """Validate parsed 0-based coordinates against ``[0, upper)``."""
     if values.shape[0] == 0:
         return
     smallest, largest = int(values.min()), int(values.max())
     if smallest < 0 or largest >= upper:
         offender = smallest + 1 if smallest < 0 else largest + 1
-        raise MatrixMarketError(
-            f"{path.name}: {what} index {offender} out of range 1..{upper}"
-        )
+        raise MatrixMarketError(f"{path.name}: {what} index {offender} out of range 1..{upper}")
 
 
-def _check_duplicates(
-    rows: np.ndarray, cols: np.ndarray, path: Path, hint: str = ""
-) -> None:
-    """Reject repeated ``(row, col)`` coordinates with a clear message."""
-    if rows.shape[0] < 2:
-        return
-    order = np.lexsort((cols, rows))
-    sorted_rows, sorted_cols = rows[order], cols[order]
-    repeated = (sorted_rows[1:] == sorted_rows[:-1]) & (
-        sorted_cols[1:] == sorted_cols[:-1]
-    )
-    if repeated.any():
-        first = int(np.argmax(repeated))
-        raise MatrixMarketError(
-            f"{path.name}: duplicate entry for coordinate "
-            f"({int(sorted_rows[first]) + 1}, {int(sorted_cols[first]) + 1})"
-            + hint
+def _read_entries(handle, field: str, path: Path) -> tuple:
+    """Parse the entry lines left in ``handle`` into 0-based coordinate arrays.
+
+    One streamed :func:`numpy.loadtxt` call tokenizes the whole body in C;
+    ``%`` comments and blank lines are skipped and extra trailing tokens are
+    ignored.  Returns ``(rows, cols, values)``; ``values`` is ``None`` for a
+    ``pattern`` field.  The warning filters set around the call are
+    process-wide (``warnings.catch_warnings`` is not thread-safe); the
+    serving daemon parses on its one batch worker thread.
+    """
+    fields = _ENTRY_FIELDS[:2] if field == "pattern" else _ENTRY_FIELDS
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", message="loadtxt: input contained no data", category=UserWarning
         )
+        # NumPy < 2 parses "1.0" as an integer with only a DeprecationWarning;
+        # as an error it rejects the entry, as int() always has.
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            entries = np.loadtxt(
+                handle, dtype=np.dtype(fields), comments="%", usecols=range(len(fields)), ndmin=1
+            )
+        except (ValueError, DeprecationWarning) as exc:
+            raise MatrixMarketError(f"{path.name}: bad entry line: {exc}") from exc
+    rows, cols = entries["row"], entries["col"]
+    rows -= 1
+    cols -= 1
+    values = None if field == "pattern" else entries["value"]
+    return rows, cols, values
+
+
+def _row_major_order(rows: np.ndarray, cols: np.ndarray) -> tuple:
+    """Stable ``(row, col)`` sort of non-negative coordinates: ``(order, duplicate)``.
+
+    ``duplicate`` is the index of the first entry, in that order, whose
+    coordinate repeats, or ``None``.  A single int64 key sorts an
+    already-ordered file in one linear pass; ``lexsort`` covers shapes whose
+    key would overflow.  Both sorts are stable, so the order is the same.
+    """
+    if rows.shape[0] == 0:
+        return np.empty(0, dtype=np.intp), None
+    width = int(cols.max()) + 1
+    if (int(rows.max()) + 1) * width <= np.iinfo(np.int64).max:
+        keys = rows * width + cols
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        repeated = keys[1:] == keys[:-1]
+    else:
+        order = np.lexsort((cols, rows))
+        sorted_rows, sorted_cols = rows[order], cols[order]
+        repeated = (sorted_rows[1:] == sorted_rows[:-1]) & (sorted_cols[1:] == sorted_cols[:-1])
+    if not repeated.any():
+        return order, None
+    return order, int(order[np.argmax(repeated)])
 
 
 def read_matrix_market(path, as_csr: bool = True):
@@ -119,7 +167,8 @@ def read_matrix_market(path, as_csr: bool = True):
         File to read; a ``.gz`` suffix is decompressed transparently.
     as_csr:
         Return a :class:`CSRMatrix` when true (the default), otherwise the
-        raw :class:`COOMatrix`.
+        raw :class:`COOMatrix`: entries in file order, followed by the
+        mirrored entries of a symmetric file.
     """
     path = Path(path)
     try:
@@ -138,75 +187,74 @@ def read_matrix_market(path, as_csr: bool = True):
             try:
                 num_rows, num_cols, nnz = (int(tok) for tok in size_line.split())
             except ValueError as exc:
-                raise MatrixMarketError(
-                    f"{path.name}: bad size line: {size_line!r}"
-                ) from exc
+                raise MatrixMarketError(f"{path.name}: bad size line: {size_line!r}") from exc
             if num_rows < 0 or num_cols < 0 or nnz < 0:
                 raise MatrixMarketError(
                     f"{path.name}: negative dimension in size line {size_line!r}"
                 )
-
-            rows = np.empty(nnz, dtype=np.int64)
-            cols = np.empty(nnz, dtype=np.int64)
-            values = np.empty(nnz, dtype=np.float64)
-            count = 0
-            for line in handle:
-                stripped = line.strip()
-                if not stripped or stripped.startswith("%"):
-                    continue
-                tokens = stripped.split()
-                if count >= nnz:
-                    raise MatrixMarketError(
-                        f"{path.name}: more entries than declared in size line"
-                    )
-                try:
-                    rows[count] = int(tokens[0]) - 1
-                    cols[count] = int(tokens[1]) - 1
-                    if field == "pattern":
-                        values[count] = 1.0
-                    else:
-                        values[count] = float(tokens[2])
-                except (ValueError, IndexError) as exc:
-                    raise MatrixMarketError(
-                        f"{path.name}: bad entry line: {stripped!r}"
-                    ) from exc
-                count += 1
-            if count != nnz:
-                raise MatrixMarketError(
-                    f"expected {nnz} entries, found {count} in {path.name}"
-                )
+            rows, cols, values = _read_entries(handle, field, path)
     except (OSError, UnicodeDecodeError, EOFError, zlib.error) as exc:
         # gzip surfaces header corruption/truncation as OSError/EOFError and
         # corrupt deflate bodies as zlib.error; binary junk in a text stream
         # surfaces as UnicodeDecodeError.
         raise MatrixMarketError(f"{path.name}: unreadable file ({exc})") from exc
+    count = rows.shape[0]
+    if count > nnz:
+        raise MatrixMarketError(f"{path.name}: more entries than declared in size line")
+    if count != nnz:
+        raise MatrixMarketError(f"expected {nnz} entries, found {count} in {path.name}")
+    if values is None:
+        values = np.ones(count, dtype=np.float64)
 
     _check_coordinates(rows, num_rows, "row", path)
     _check_coordinates(cols, num_cols, "column", path)
-    _check_duplicates(rows, cols, path)
-
-    if symmetry in ("symmetric", "skew-symmetric"):
+    mirrored = symmetry != "general"
+    all_rows, all_cols, all_values = rows, cols, values
+    if mirrored:
         off_diagonal = rows != cols
         mirror_sign = -1.0 if symmetry == "skew-symmetric" else 1.0
-        mirrored_rows = np.concatenate([rows, cols[off_diagonal]])
-        mirrored_cols = np.concatenate([cols, rows[off_diagonal]])
-        values = np.concatenate([values, mirror_sign * values[off_diagonal]])
-        rows, cols = mirrored_rows, mirrored_cols
-        # A symmetric file must store only one triangle: a file carrying
-        # both (i, j) and (j, i) passes the raw check but collides here —
-        # without this, mirroring would silently double those values.
-        _check_duplicates(
-            rows, cols, path, hint=" (both triangles of a symmetric matrix stored?)"
-        )
+        all_rows = np.concatenate([rows, cols[off_diagonal]])
+        all_cols = np.concatenate([cols, rows[off_diagonal]])
+        all_values = np.concatenate([values, mirror_sign * values[off_diagonal]])
+
+    order, duplicate = _row_major_order(all_rows, all_cols)
+    if duplicate is not None:
+        hint = ""
+        if mirrored:
+            # A symmetric file must store only one triangle: a file carrying
+            # both (i, j) and (j, i) has no raw duplicate but collides once
+            # mirrored — without this, mirroring would silently double values.
+            # The raw entries are the head of the mirrored arrays.
+            raw_duplicate = _row_major_order(rows, cols)[1]
+            if raw_duplicate is None:
+                hint = " (both triangles of a symmetric matrix stored?)"
+            else:
+                duplicate = raw_duplicate
+        coordinate = f"({int(all_rows[duplicate]) + 1}, {int(all_cols[duplicate]) + 1})"
+        raise MatrixMarketError(f"{path.name}: duplicate entry for coordinate {coordinate}{hint}")
 
     coo = COOMatrix(
-        num_rows=num_rows, num_cols=num_cols, rows=rows, cols=cols, values=values
+        num_rows=num_rows, num_cols=num_cols, rows=all_rows, cols=all_cols, values=all_values
     )
-    return CSRMatrix.from_coo(coo) if as_csr else coo
+    if not as_csr:
+        return coo
+    row_offsets = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(all_rows, minlength=num_rows), out=row_offsets[1:])
+    return CSRMatrix(
+        num_rows=num_rows,
+        num_cols=num_cols,
+        row_offsets=row_offsets,
+        col_indices=all_cols[order],
+        values=all_values[order],
+    )
 
 
 def write_matrix_market(matrix, path) -> None:
-    """Write a CSR or COO matrix as a general real coordinate ``.mtx`` file."""
+    """Write a CSR or COO matrix as a general real coordinate ``.mtx`` file.
+
+    Entries are formatted :data:`WRITE_CHUNK_ENTRIES` at a time, one
+    ``write`` per chunk.
+    """
     if isinstance(matrix, CSRMatrix):
         coo = matrix.to_coo()
     elif isinstance(matrix, COOMatrix):
@@ -218,8 +266,13 @@ def write_matrix_market(matrix, path) -> None:
         handle.write("%%MatrixMarket matrix coordinate real general\n")
         handle.write("% generated by the Seer reproduction\n")
         handle.write(f"{coo.num_rows} {coo.num_cols} {coo.nnz}\n")
-        for row, col, value in zip(coo.rows, coo.cols, coo.values):
-            handle.write(f"{int(row) + 1} {int(col) + 1} {value:.17g}\n")
+        for start in range(0, coo.nnz, WRITE_CHUNK_ENTRIES):
+            chunk = slice(start, start + WRITE_CHUNK_ENTRIES)
+            rows = (coo.rows[chunk] + 1).tolist()
+            cols = (coo.cols[chunk] + 1).tolist()
+            values = coo.values[chunk].tolist()
+            entries = zip(rows, cols, values)
+            handle.write("".join(f"{row} {col} {value:.17g}\n" for row, col, value in entries))
 
 
 # ----------------------------------------------------------------------
@@ -277,9 +330,7 @@ def csr_from_npz_bytes(data: bytes) -> CSRMatrix:
             if "values" in arrays.files:
                 values = arrays["values"]
             else:
-                values = DeferredValues.from_words(
-                    arrays["values_state"], int(row_offsets[-1])
-                )
+                values = DeferredValues.from_words(arrays["values_state"], int(row_offsets[-1]))
             return CSRMatrix(
                 num_rows=int(arrays["num_rows"]),
                 num_cols=int(arrays["num_cols"]),

@@ -181,6 +181,32 @@ def test_strict_false_converts_errors_to_in_slot_failures(tiny_sweep):
     assert stats.failures == 2 and stats.requests == 3
 
 
+@pytest.mark.parametrize(
+    "size_and_entry",
+    ["3 3 1\n99999999999999999999 1 1.0\n", "3 3 200000000000\n1 1 1.0\n"],
+    ids=["overflowing-index", "undelivered-nnz"],
+)
+def test_one_malformed_file_fails_only_its_own_request(
+    tiny_sweep, tmp_path, corpus, size_and_entry
+):
+    bad_path = tmp_path / "bad.mtx"
+    bad_path.write_text(
+        "%%MatrixMarket matrix coordinate real general\n" + size_and_entry
+    )
+    bad = ServeRequest(name="bad", source=str(bad_path))
+    good = ServeRequest(name="good", source=str(corpus / "pl.mtx"))
+
+    def evaluate(requests):
+        return evaluate_requests(
+            tiny_sweep.models, requests, domain="spmv", execute=False, strict=False
+        )[0]
+
+    results = evaluate([bad, good])
+    assert isinstance(results[0], ServeFailure)
+    assert "bad.mtx" in results[0].error
+    assert results[1] == evaluate([good])[0]
+
+
 # ----------------------------------------------------------------------
 # Parity: the batched core vs. the serial Fig. 3 flow
 # ----------------------------------------------------------------------

@@ -757,6 +757,29 @@ def test_shutdown_is_idempotent_and_summary_is_written(
     assert record["name"] == "w" and record["latency_ms"] >= 0.0
 
 
+def test_failed_summary_write_still_finishes_shutdown(model_path, tmp_path, caplog):
+    """A log dir removed under a running daemon must not hang a later SIGTERM."""
+    log_dir = tmp_path / "logs"
+    service = ServingService(_config(model_path, log_dir=str(log_dir)))
+    service.start_background()
+    for child in log_dir.iterdir():
+        child.unlink()
+    log_dir.rmdir()
+    results = []
+    for _ in range(2):
+        caller = threading.Thread(
+            target=lambda: results.append(service.shutdown()), daemon=True
+        )
+        caller.start()
+        caller.join(10)
+        assert not caller.is_alive(), "shutdown hung after a failed summary write"
+    first, second = results
+    assert first["metrics"]["requests_total"] == 0
+    assert second is None
+    assert "summary.json" in caplog.text
+    assert service._log_handle is None
+
+
 def test_idle_keep_alive_client_does_not_hold_shutdown(model_path, monkeypatch):
     assert _Handler.timeout == HANDLER_TIMEOUT_S  # shipped handlers time out
     monkeypatch.setattr(_Handler, "timeout", 0.5)

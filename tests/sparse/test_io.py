@@ -155,6 +155,37 @@ def test_entry_line_missing_value_rejected(tmp_path):
         read_matrix_market(path)
 
 
+#: Files rejected with a ``MatrixMarketError`` naming them, and its message.
+#: The per-line reader let the first two escape as a bare ``OverflowError``
+#: (an index past int64) and ``MemoryError`` (it preallocated the declared
+#: 2e11 entries); NumPy < 2's ``loadtxt`` accepts the third's float index
+#: with only a ``DeprecationWarning``.
+REJECTED_FILES = {
+    "overflow.mtx": (
+        "%%MatrixMarket matrix coordinate real general\n3 3 1\n99999999999999999999 1 1.0\n",
+        "bad entry line",
+    ),
+    "huge_nnz.mtx": (
+        "%%MatrixMarket matrix coordinate real general\n3 3 200000000000\n1 1 1.0\n",
+        "expected 200000000000 entries, found 1",
+    ),
+    "float_index.mtx": (
+        "%%MatrixMarket matrix coordinate real general\n2 2 1\n1.0 1 1.0\n",
+        "bad entry line",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_FILES))
+def test_rejected_file_is_a_matrix_market_error_naming_it(name, tmp_path):
+    text, message = REJECTED_FILES[name]
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(MatrixMarketError, match=message) as raised:
+        read_matrix_market(path)
+    assert name in str(raised.value)
+
+
 def test_gzip_round_trip(tmp_path):
     import gzip
 
