@@ -45,7 +45,7 @@ def test_bench_ingest_cold_parse(benchmark, corpus_dir):
 
 
 def test_bench_ingest_warm_cache(benchmark, corpus_dir, tmp_path):
-    """The content-addressed ``.npz`` tier serving the same corpus."""
+    """The content-addressed ``.csr`` container tier serving the same corpus."""
     sources = discover_sources(corpus_dir)
     cache = IngestCache(tmp_path / "cache")
     _parse_all(sources, cache)  # populate outside the timed region

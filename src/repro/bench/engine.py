@@ -27,7 +27,8 @@ to come by twice:
 
 * **Matrix artifact caching.**  Generating the largest synthetic matrices
   costs more than benchmarking them, so built matrices are additionally
-  persisted as ``.npz`` arrays keyed by their *recipe* hash (spec payload
+  persisted in the flat container of :func:`repro.sparse.io.load_tier`
+  (``.csr``), keyed by their *recipe* hash (spec payload
   plus a digest of the ``repro.sparse`` sources only).  Editing the kernels,
   the simulator or the training code invalidates measurements and sweeps but
   *not* the generated matrices — re-benchmarking after such an edit skips
@@ -40,7 +41,7 @@ to come by twice:
   six-word ``values_state``: 16 bytes per row, so the ``medium`` tier is
   230 MB where per-nonzero int32 columns made it 705 MB.  Stencil and
   diagonal matrices keep explicit ``col_indices``.  An unreadable artifact
-  (absent, truncated, failing its zip CRC, malformed) is a miss: the matrix
+  (absent, truncated, failing its CRC-32, malformed) is a miss: the matrix
   is regenerated and the slot overwritten.
 
 The engine is domain-aware: every cache key embeds the active
@@ -54,7 +55,7 @@ Cache layout::
       sweeps/<config-hash>.pkl        # whole SweepResult artifacts
       sweeps/<config-hash>.json       # human-readable config for debugging
       measurements/<matrix-hash>.json # per-workload MatrixMeasurement records
-      matrices/<recipe-hash>.npz      # row_offsets + column runs + values_state
+      matrices/<recipe-hash>.csr      # row_offsets + column runs + values_state
 """
 
 from __future__ import annotations
@@ -84,12 +85,11 @@ from repro.gpu.device import MI100, DeviceSpec
 from repro.sparse import io as sparse_io
 from repro.sparse.collection import CollectionProfile
 from repro.sparse.coo import SparseFormatError
-from repro.sparse.csr import CSRMatrix
 
 logger = logging.getLogger(__name__)
 
 #: Bumped whenever the on-disk layout of cached artifacts changes.
-CACHE_FORMAT_VERSION = 4
+CACHE_FORMAT_VERSION = 5
 
 
 def _digest_sources(root: Path) -> str:
@@ -251,25 +251,6 @@ def measurement_from_dict(payload: dict, domain=None) -> MatrixMeasurement:
     )
 
 
-# ----------------------------------------------------------------------
-# CSRMatrix <-> npz artifacts
-# ----------------------------------------------------------------------
-def matrix_to_bytes(matrix: CSRMatrix) -> bytes:
-    """Serialized ``.npz`` form of one generated matrix.
-
-    The layout is :func:`repro.sparse.io.csr_to_npz_bytes` — the same
-    archive format ``save_npz``/``load_npz`` and the serving layer's ingest
-    cache use, so every ``.npz`` matrix artifact in the system round-trips
-    through one reader.
-    """
-    return sparse_io.csr_to_npz_bytes(matrix)
-
-
-def matrix_from_bytes(data: bytes) -> CSRMatrix:
-    """Inverse of :func:`matrix_to_bytes`."""
-    return sparse_io.csr_from_npz_bytes(data)
-
-
 def atomic_write_bytes(path: Path, data: bytes) -> None:
     """Write ``data`` to ``path`` without ever exposing a partial file."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -289,7 +270,7 @@ def atomic_write_bytes(path: Path, data: bytes) -> None:
 def _load_matrix_artifact(path: Path):
     """Read a cached matrix artifact, or ``None`` when absent/unreadable."""
     try:
-        return sparse_io.load_npz(path)
+        return sparse_io.load_tier(path)
     except SparseFormatError as exc:
         if path.exists():
             logger.warning("matrix artifact treated as a miss: %s", exc)
@@ -327,13 +308,13 @@ def _measure_spec_chunk(
         matrix = None
         artifact_path = None
         if matrix_dir is not None:
-            artifact_path = matrix_dir / f"{matrix_key(spec, domain)}.npz"
+            artifact_path = matrix_dir / (matrix_key(spec, domain) + sparse_io.TIER_SUFFIX)
             matrix = _load_matrix_artifact(artifact_path)
         if matrix is None:
             matrix = domain.spec_matrix(spec)
             generated += 1
             if artifact_path is not None:
-                atomic_write_bytes(artifact_path, matrix_to_bytes(matrix))
+                atomic_write_bytes(artifact_path, sparse_io.csr_to_tier_bytes(matrix))
         else:
             matrix_hits += 1
         workload = domain.workload_from_matrix(spec, matrix)

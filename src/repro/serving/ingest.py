@@ -14,8 +14,9 @@ Scaling machinery is reused from the sweep engine:
 * **process fan-out** — sources are chunked over worker processes with
   :func:`repro.bench.engine.run_chunked`, and results reassemble in source
   order, so ``--jobs N`` output is bit-identical to the serial run;
-* **content-addressed ingest cache** — parsed matrices persist as ``.npz``
-  artifacts under ``<cache_dir>/ingest/``, keyed by
+* **content-addressed ingest cache** — parsed matrices persist in the
+  flat, CRC-checked container of :func:`repro.sparse.io.load_tier`
+  (``.csr``) under ``<cache_dir>/ingest/``, keyed by
   :func:`repro.bench.engine.stable_hash` over the source's *content digest*
   (file bytes or canonical recipe) plus the ``repro.sparse`` source digest,
   so re-serving a corpus skips Matrix-Market parsing entirely while any
@@ -23,8 +24,9 @@ Scaling machinery is reused from the sweep engine:
   reads and hashes the whole file; a long-lived daemon
   (:mod:`repro.serving.service`) memoizes the digest of a file whose
   ``stat`` identity (device, inode, size, mtime and ctime) is unchanged, so
-  its cache hit costs a ``stat`` plus the ``.npz`` decode.  Any write,
-  ``os.utime`` or replacement changes that identity and retires the memo.
+  its cache hit costs a ``stat`` plus one read, a CRC-32 and array views
+  of the container.  Any write, ``os.utime`` or replacement changes that
+  identity and retires the memo.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ from repro.sparse.csr import CSRMatrix
 logger = logging.getLogger(__name__)
 
 #: Bumped whenever the ingest-cache artifact layout changes.
-INGEST_FORMAT_VERSION = 2
+INGEST_FORMAT_VERSION = 3
 
 #: File names of one serve run's artifact pair.
 DECISIONS_FILE_NAME = "decisions.csv"
@@ -93,7 +95,7 @@ class IngestCache:
     """Content-addressed store of parsed matrices under ``<root>/ingest/``.
 
     Keys embed the source's content digest and the ``repro.sparse`` source
-    digest (the parser and the ``.npz`` layout live there), mirroring how
+    digest (the parser and the container layout live there), mirroring how
     the engine's generated-matrix tier is keyed by recipe + generator code.
     """
 
@@ -121,12 +123,12 @@ class IngestCache:
         )
 
     def path(self, source) -> Path:
-        return self.root / "ingest" / f"{self.key(source)}.npz"
+        return self.root / "ingest" / (self.key(source) + sparse_io.TIER_SUFFIX)
 
 
 def _load_cached_matrix(path: Path):
     try:
-        return sparse_io.load_npz(path)
+        return sparse_io.load_tier(path)
     except SparseFormatError as exc:
         if path.exists():
             logger.warning("ingest cache entry treated as a miss: %s", exc)
@@ -134,7 +136,7 @@ def _load_cached_matrix(path: Path):
 
 
 def _store_cached_matrix(path: Path, matrix: CSRMatrix) -> None:
-    atomic_write_bytes(path, sparse_io.csr_to_npz_bytes(matrix))
+    atomic_write_bytes(path, sparse_io.csr_to_tier_bytes(matrix))
 
 
 def ingest_matrix(source, cache=None) -> tuple:

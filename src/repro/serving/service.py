@@ -91,6 +91,11 @@ DIGEST_MEMO_RACY_MARGIN_S = 2.0
 #: for it answers 408.
 HANDLER_TIMEOUT_S = 5.0
 
+#: Largest request body the daemon reads, in bytes.  A request declaring a
+#: longer ``Content-Length`` answers 413 before any of its body is read:
+#: buffered reads allocate the declared length up front.
+MAX_BODY_BYTES = 16 * 2**20
+
 
 class ServiceConfigError(ValueError):
     """A daemon configuration file or value is invalid."""
@@ -780,6 +785,10 @@ class _ServingHTTPServer(ThreadingHTTPServer):
     service: "ServingService" = None
 
 
+class _BodyTooLarge(Exception):
+    """A request declared a body longer than :data:`MAX_BODY_BYTES`."""
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     # One write per response, sent at once: headers and body collect in a
@@ -822,6 +831,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_json(self):
         length = self._content_length()
+        if length > MAX_BODY_BYTES:
+            # The unread body would otherwise be parsed as the next request.
+            self.close_connection = True
+            raise _BodyTooLarge(
+                f"request body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise IngestError("request body is empty (expected JSON)")
@@ -874,6 +889,10 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(
                     408, {"error": f"request body not received within {self.timeout} s"}
                 )
+                return
+            except _BodyTooLarge as error:
+                service.metrics.record_error((time.monotonic() - started) * 1000.0)
+                self._send_json(413, {"error": str(error)})
                 return
             except IngestError as error:
                 service.metrics.record_error((time.monotonic() - started) * 1000.0)

@@ -10,9 +10,10 @@ Only the ``matrix coordinate`` container is supported (real / integer /
 pattern fields, general / symmetric / skew-symmetric symmetry), which covers
 the SuiteSparse collection.  Malformed files — bad headers, truncated entry
 lists, out-of-range 1-based coordinates, duplicate entries, indices that
-overflow int64, a declared entry count the body does not hold — all raise
-:class:`MatrixMarketError` with a message naming the offending file, never
-a bare NumPy error.
+overflow int64, a declared entry count the body does not hold, a CSR read
+declaring more than :data:`MAX_ROWS` rows — all raise :class:`MatrixMarketError`
+with a message naming the offending file, never a bare NumPy error or
+``MemoryError``.
 
 No Python code runs once per entry.  After the header and size line, one
 streamed :func:`numpy.loadtxt` call tokenizes the whole body in C from the
@@ -25,9 +26,8 @@ duplicate coordinates and orders the CSR arrays.  The writer formats
 fixed-size chunks of entries with one ``str.join`` and one ``write`` each.
 
 The ``.npz`` helpers (:func:`save_npz` / :func:`load_npz`) round-trip a
-:class:`~repro.sparse.csr.CSRMatrix` through one uncompressed NumPy archive
-(the zip CRC still detects corruption); the sweep engine's generated-matrix
-tier and the serving layer's ingest cache both store this layout.  The
+:class:`~repro.sparse.csr.CSRMatrix` through one uncompressed NumPy archive,
+the interchange format for user files and ``.npz`` corpus sources.  The
 archive holds ``row_offsets`` (int64) and two pairs of alternatives:
 
 * the columns as ``col_indices`` or, for a matrix whose
@@ -38,21 +38,39 @@ archive holds ``row_offsets`` (int64) and two pairs of alternatives:
   the six-word ``values_state`` recipe of
   :class:`~repro.sparse.csr.DeferredValues`.
 
+The two matrix cache tiers — the sweep engine's ``matrices/`` and the
+serving layer's ``ingest/`` — store the same arrays in a flat container
+instead (:func:`csr_to_tier_bytes` / :func:`load_tier`, suffix
+:data:`TIER_SUFFIX`), so a cache hit skips the zip directory and per-member
+header parsing of ``np.load``.  A container is a fixed 40-byte
+little-endian header (:class:`TierHeader`: magic, version, the column and
+values kinds, the column itemsize, ``num_rows``, ``num_cols``, ``nnz``),
+then ``row_offsets``, the column arrays and the values, each padded to 8
+bytes, then a CRC-32 of every byte before it.  The reader checks the
+header, then that the file length is the one the header implies (before
+allocating anything from the header), then the CRC, then that ``nnz`` is
+``row_offsets[-1]``; the arrays are views of one buffer read, and the
+:class:`~repro.sparse.csr.CSRMatrix` constructor validates them as usual.
+
 A generated matrix therefore costs 16 bytes per row, whatever its row
 lengths, where per-nonzero int32 columns cost about 4.8 bytes per nonzero.
-The loader validates the column runs like any other member: runs that are
+Both loaders validate the column runs like any other member: runs that are
 out of range or would repeat a column are a
-:class:`~repro.sparse.coo.SparseFormatError`.
+:class:`~repro.sparse.coo.SparseFormatError`, as is every other unreadable
+file.
 """
 
 from __future__ import annotations
 
 import gzip
 import io
+import os
+import struct
 import warnings
 import zipfile
 import zlib
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +83,12 @@ _ENTRY_FIELDS = [("row", np.int64), ("col", np.int64), ("value", np.float64)]
 
 #: Entries :func:`write_matrix_market` formats per ``write`` call.
 WRITE_CHUNK_ENTRIES = 65536
+
+#: Most rows a Matrix-Market size line may declare for a CSR read.  The
+#: ``row_offsets`` hold one int64 per row, so a larger count is refused
+#: before anything is allocated from it.  A COO read allocates nothing per
+#: row, and columns are never allocated from their count.
+MAX_ROWS = 2**31 - 1
 
 
 class MatrixMarketError(SparseFormatError):
@@ -192,6 +216,10 @@ def read_matrix_market(path, as_csr: bool = True):
                 raise MatrixMarketError(
                     f"{path.name}: negative dimension in size line {size_line!r}"
                 )
+            if as_csr and num_rows > MAX_ROWS:
+                raise MatrixMarketError(
+                    f"{path.name}: {num_rows} rows exceed the supported {MAX_ROWS}"
+                )
             rows, cols, values = _read_entries(handle, field, path)
     except (OSError, UnicodeDecodeError, EOFError, zlib.error) as exc:
         # gzip surfaces header corruption/truncation as OSError/EOFError and
@@ -238,8 +266,13 @@ def read_matrix_market(path, as_csr: bool = True):
     )
     if not as_csr:
         return coo
-    row_offsets = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(all_rows, minlength=num_rows), out=row_offsets[1:])
+    try:
+        row_offsets = np.zeros(num_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(all_rows, minlength=num_rows), out=row_offsets[1:])
+    except MemoryError as exc:
+        raise MatrixMarketError(
+            f"{path.name}: cannot allocate row offsets for {num_rows} rows"
+        ) from exc
     return CSRMatrix(
         num_rows=num_rows,
         num_cols=num_cols,
@@ -361,5 +394,175 @@ def load_npz(path) -> CSRMatrix:
         return csr_from_npz_bytes(path.read_bytes())
     except OSError as exc:
         raise SparseFormatError(f"{path.name}: unreadable file ({exc})") from exc
+    except SparseFormatError as exc:
+        raise SparseFormatError(f"{path.name}: {exc}") from exc
+
+
+# ----------------------------------------------------------------------
+# CSR <-> the cache-tier container
+# ----------------------------------------------------------------------
+#: File suffix of a cache-tier container.
+TIER_SUFFIX = ".csr"
+
+_TIER_MAGIC = b"SEERCSR\0"
+_TIER_VERSION = 1
+#: magic, version, column kind, column itemsize, values kind, one pad byte,
+#: num_rows, num_cols, nnz: 40 bytes, so every array starts 8-byte aligned.
+_TIER_HEADER = struct.Struct("<8sIBBBx3q")
+_TIER_CRC = struct.Struct("<I")
+_VALUES_STATE_WORDS = 6
+
+
+def _padded(nbytes: int) -> int:
+    return nbytes + -nbytes % 8
+
+
+class TierHeader(NamedTuple):
+    """The fixed header of a cache-tier container.
+
+    ``column_runs`` is true when the columns are stored as
+    ``run_starts``/``run_strides`` and false for explicit ``col_indices``;
+    ``deferred_values`` is true for the six-word ``values_state`` and false
+    for float64 ``values``.
+    """
+
+    column_runs: bool
+    column_itemsize: int
+    deferred_values: bool
+    num_rows: int
+    num_cols: int
+    nnz: int
+
+    def sections(self) -> list:
+        """``(name, little-endian dtype, count)`` of each stored array, in order."""
+        columns = np.dtype(f"<i{self.column_itemsize}")
+        if self.column_runs:
+            stored = [
+                ("run_starts", columns, self.num_rows),
+                ("run_strides", columns, self.num_rows),
+            ]
+        else:
+            stored = [("col_indices", columns, self.nnz)]
+        if self.deferred_values:
+            values = ("values_state", np.dtype("<u8"), _VALUES_STATE_WORDS)
+        else:
+            values = ("values", np.dtype("<f8"), self.nnz)
+        return [("row_offsets", np.dtype("<i8"), self.num_rows + 1), *stored, values]
+
+    def file_size(self) -> int:
+        """Bytes of the whole container this header describes."""
+        arrays = sum(_padded(dtype.itemsize * count) for _, dtype, count in self.sections())
+        return _TIER_HEADER.size + arrays + _TIER_CRC.size
+
+
+def tier_header(data) -> TierHeader:
+    """Parse and check the header at the start of a container's bytes.
+
+    Raises :class:`~repro.sparse.coo.SparseFormatError` for a short buffer,
+    a foreign magic or version, a kind flag outside {0, 1}, a column
+    itemsize outside {4, 8} or a negative dimension.
+    """
+    if len(data) < _TIER_HEADER.size + _TIER_CRC.size:
+        raise SparseFormatError(f"{len(data)} bytes is too short for a CSR container")
+    magic, version, runs, itemsize, deferred, *dimensions = _TIER_HEADER.unpack_from(data)
+    if magic != _TIER_MAGIC:
+        raise SparseFormatError("not a CSR container (bad magic)")
+    if version != _TIER_VERSION:
+        raise SparseFormatError(f"unsupported CSR container version {version}")
+    if runs not in (0, 1) or deferred not in (0, 1):
+        raise SparseFormatError(f"bad kind flags (columns {runs}, values {deferred})")
+    if itemsize not in (4, 8):
+        raise SparseFormatError(f"bad column itemsize {itemsize}")
+    if min(dimensions) < 0:
+        raise SparseFormatError(f"negative dimension in header {tuple(dimensions)}")
+    return TierHeader(bool(runs), itemsize, bool(deferred), *dimensions)
+
+
+def csr_to_tier_bytes(matrix: CSRMatrix) -> bytes:
+    """Serialized cache-tier container of one CSR matrix.
+
+    Never draws deferred values and never expands column runs.
+    """
+    runs = matrix.column_runs
+    deferred = matrix.deferred_values
+    header = TierHeader(
+        column_runs=runs is not None,
+        column_itemsize=4 if matrix.num_cols <= np.iinfo(np.int32).max else 8,
+        deferred_values=deferred is not None,
+        num_rows=matrix.num_rows,
+        num_cols=matrix.num_cols,
+        nnz=matrix.nnz,
+    )
+    columns = [matrix.col_indices] if runs is None else [runs.starts, runs.strides]
+    values = matrix.values if deferred is None else deferred.to_words()
+    parts = [_TIER_HEADER.pack(_TIER_MAGIC, _TIER_VERSION, *header)]
+    for array, (_, dtype, _) in zip([matrix.row_offsets, *columns, values], header.sections()):
+        stored = np.ascontiguousarray(array, dtype=dtype)
+        parts += [stored, bytes(-stored.nbytes % 8)]
+    crc = 0
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    parts.append(_TIER_CRC.pack(crc))
+    return b"".join(parts)
+
+
+def _csr_from_tier_buffer(buffer: bytearray) -> CSRMatrix:
+    header = tier_header(buffer)
+    expected = header.file_size()
+    if len(buffer) != expected:
+        raise SparseFormatError(f"holds {len(buffer)} bytes where its header implies {expected}")
+    end = expected - _TIER_CRC.size
+    (stored_crc,) = _TIER_CRC.unpack_from(buffer, end)
+    if zlib.crc32(memoryview(buffer)[:end]) != stored_crc:
+        raise SparseFormatError("CRC-32 mismatch")
+    (last_offset,) = struct.unpack_from("<q", buffer, _TIER_HEADER.size + 8 * header.num_rows)
+    if last_offset != header.nnz:
+        raise SparseFormatError(
+            f"header nnz {header.nnz} differs from row_offsets[-1] = {last_offset}"
+        )
+    arrays = {}
+    offset = _TIER_HEADER.size
+    for name, dtype, count in header.sections():
+        arrays[name] = np.frombuffer(buffer, dtype=dtype, count=count, offset=offset)
+        offset += _padded(dtype.itemsize * count)
+    if header.column_runs:
+        columns = RowRuns(
+            starts=arrays["run_starts"].astype(np.int64, copy=False),
+            strides=arrays["run_strides"].astype(np.int64, copy=False),
+        )
+    else:
+        columns = arrays["col_indices"]
+    if header.deferred_values:
+        values = DeferredValues.from_words(arrays["values_state"], header.nnz)
+    else:
+        values = arrays["values"]
+    return CSRMatrix(
+        num_rows=header.num_rows,
+        num_cols=header.num_cols,
+        row_offsets=arrays["row_offsets"],
+        col_indices=columns,
+        values=values,
+    )
+
+
+def load_tier(path) -> CSRMatrix:
+    """Read a container written from :func:`csr_to_tier_bytes`.
+
+    The file is read with one ``readinto`` into a buffer of its size, so
+    the loaded arrays are writable views of it.  Raises
+    :class:`~repro.sparse.coo.SparseFormatError` naming the file when it is
+    missing, truncated, fails its CRC or does not hold a valid CSR layout.
+    """
+    path = Path(path)
+    try:
+        with path.open("rb") as handle:
+            buffer = bytearray(os.fstat(handle.fileno()).st_size)
+            read = handle.readinto(buffer)
+    except OSError as exc:
+        raise SparseFormatError(f"{path.name}: unreadable file ({exc})") from exc
+    try:
+        if read != len(buffer):
+            raise SparseFormatError(f"changed size while read ({read} of {len(buffer)} bytes)")
+        return _csr_from_tier_buffer(buffer)
     except SparseFormatError as exc:
         raise SparseFormatError(f"{path.name}: {exc}") from exc

@@ -316,7 +316,7 @@ def test_matrix_artifacts_survive_measurement_tier_loss(tmp_path):
     first = run_sweep(profile="tiny", iteration_counts=(1,), engine=populate)
     assert populate.stats.matrices_generated == len(first.suite)
     assert populate.stats.matrix_cache_hits == 0
-    assert list((tmp_path / "matrices").glob("*.npz"))
+    assert list((tmp_path / "matrices").glob("*.csr"))
 
     # Losing the measurement and sweep tiers (e.g. a code edit bumped the
     # code version) must not force matrix regeneration.
@@ -332,8 +332,8 @@ def test_matrix_artifacts_survive_measurement_tier_loss(tmp_path):
 def test_corrupt_matrix_artifact_is_regenerated(tmp_path):
     populate = SweepEngine(jobs=1, cache_dir=tmp_path)
     first = run_sweep(profile="tiny", iteration_counts=(1,), engine=populate)
-    for artifact in (tmp_path / "matrices").glob("*.npz"):
-        artifact.write_bytes(b"not an npz")
+    for artifact in (tmp_path / "matrices").glob("*.csr"):
+        artifact.write_bytes(b"not a container")
     shutil.rmtree(tmp_path / "measurements")
     shutil.rmtree(tmp_path / "sweeps")
 
@@ -383,12 +383,14 @@ def test_spmv_sweeps_never_expand_column_runs(tmp_path, monkeypatch):
     assert warm.stats.matrix_cache_hits == warm.stats.matrices_measured
 
 
-def test_matrix_roundtrips_through_npz():
-    from repro.bench.engine import matrix_from_bytes, matrix_to_bytes
+def test_matrix_roundtrips_through_the_tier_container(tmp_path):
     from repro.sparse import generators as gen
+    from repro.sparse.io import csr_to_tier_bytes, load_tier
 
     matrix = gen.power_law_matrix(50, 40, 4.0, rng=3)
-    restored = matrix_from_bytes(matrix_to_bytes(matrix))
+    path = tmp_path / "m.csr"
+    path.write_bytes(csr_to_tier_bytes(matrix))
+    restored = load_tier(path)
     assert restored.shape == matrix.shape
     assert (restored.row_offsets == matrix.row_offsets).all()
     assert (restored.col_indices == matrix.col_indices).all()
@@ -469,9 +471,9 @@ def test_experiment_suite_warm_cache_equals_cold_run(tmp_path):
 def test_truncated_zip_matrix_artifact_is_regenerated(tmp_path):
     from repro.bench.engine import _load_matrix_artifact
 
-    # Keeps the zip magic but is truncated: np.load raises BadZipFile, which
-    # must read as a cache miss, never a crash.
-    artifact = tmp_path / "bad.npz"
+    # A truncated zip where a container belongs (say, an entry of an older
+    # npz-based tier renamed into place) must read as a miss, never a crash.
+    artifact = tmp_path / "bad.csr"
     artifact.write_bytes(b"PK\x03\x04" + b"\x00" * 16)
     assert _load_matrix_artifact(artifact) is None
 

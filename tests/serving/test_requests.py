@@ -183,8 +183,12 @@ def test_strict_false_converts_errors_to_in_slot_failures(tiny_sweep):
 
 @pytest.mark.parametrize(
     "size_and_entry",
-    ["3 3 1\n99999999999999999999 1 1.0\n", "3 3 200000000000\n1 1 1.0\n"],
-    ids=["overflowing-index", "undelivered-nnz"],
+    [
+        "3 3 1\n99999999999999999999 1 1.0\n",
+        "3 3 200000000000\n1 1 1.0\n",
+        "200000000000 3 1\n1 1 1.0\n",
+    ],
+    ids=["overflowing-index", "undelivered-nnz", "huge-row-count"],
 )
 def test_one_malformed_file_fails_only_its_own_request(
     tiny_sweep, tmp_path, corpus, size_and_entry

@@ -669,6 +669,28 @@ def test_stalled_request_body_answers_408(model_path, monkeypatch):
     assert admitted == 0
 
 
+def test_oversized_body_answers_413_before_reading_it(model_path, tiny_sweep):
+    with ServingService(_config(model_path)) as service:
+        started = time.monotonic()
+        reply = _raw_exchange(
+            service.address,
+            b"POST /v1/serve HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: 1000000000000\r\n\r\n{\"name\": ",
+        )
+        elapsed = time.monotonic() - started
+        metrics = service.metrics.snapshot()
+        admitted = service.batcher.admitted
+        status, body = _post(service.url + "/v1/serve", _inline_payload(tiny_sweep, "next"))
+    head, _, error = reply.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 413")
+    assert b"Connection: close" in head
+    assert "1000000000000 bytes exceeds" in json.loads(error)["error"]
+    assert elapsed < 5.0
+    assert metrics["errors_total"] == 1
+    assert admitted == 0
+    assert status == 200 and body["name"] == "next"
+
+
 class _CountingSocket(socket.socket):
     """An accepted server socket that counts the writes it issues."""
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.sparse import generators as gen
 from repro.sparse.coo import SparseFormatError
 from repro.sparse.csr import CSRMatrix, RowRuns
-from repro.sparse.io import csr_to_npz_bytes
+from repro.sparse.io import csr_to_npz_bytes, csr_to_tier_bytes
 
 #: Every generator that lays its rows out as column runs.
 RUN_GENERATORS = {
@@ -55,6 +55,7 @@ def test_nnz_validate_and_archive_leave_the_runs_unexpanded(monkeypatch):
     assert matrix.nnz == int(matrix.row_offsets[-1]) > 0
     matrix.validate()
     assert csr_to_npz_bytes(matrix)
+    assert csr_to_tier_bytes(matrix)
     assert matrix.column_runs is not None
 
 
