@@ -26,15 +26,20 @@ CLIENTS = 16
 WINDOW = 8
 WAIT_MS = 2.0
 
+#: Requests per round of the window-8 speedup test.  A 192-request round
+#: lasts about 35 ms, so host noise decided the ratio; at 2,000 requests
+#: ten isolated runs measured speedups of 1.41-2.47x.
+SPEEDUP_REQUESTS = 2000
 
-def _service_inputs(paper_sweep, tmp_path_factory):
+
+def _service_inputs(paper_sweep, tmp_path_factory, requests=REQUESTS):
     directory = tmp_path_factory.mktemp("service-bench")
     model_path = save_models(
         paper_sweep.models,
         directory / "model.json",
         domain=paper_sweep.domain_name,
     )
-    payloads = synth_requests(paper_sweep.models, REQUESTS)
+    payloads = synth_requests(paper_sweep.models, requests)
     return str(model_path), payloads
 
 
@@ -77,9 +82,12 @@ def test_bench_serve_batched_window8(benchmark, paper_sweep, tmp_path_factory):
 
     Each timed window-8 round is preceded by an untimed per-request round
     (the pedantic ``setup``), so both loads sample the same stretch of host
-    noise, and the speedup compares their median throughputs.
+    noise, and the speedup compares their median throughputs.  Occupancy
+    is pooled over every batched round, not read from the last one.
     """
-    model_path, payloads = _service_inputs(paper_sweep, tmp_path_factory)
+    model_path, payloads = _service_inputs(
+        paper_sweep, tmp_path_factory, SPEEDUP_REQUESTS
+    )
     per_request, batched = [], []
 
     def per_request_round():
@@ -95,6 +103,9 @@ def test_bench_serve_batched_window8(benchmark, paper_sweep, tmp_path_factory):
     per_request_rps = statistics.median(r.throughput_rps for r in per_request)
     batched_rps = statistics.median(r.throughput_rps for r in batched)
     speedup = batched_rps / per_request_rps
+    occupancy = sum(r.server_metrics["requests_total"] for r in batched) / sum(
+        r.server_metrics["batches_total"] for r in batched
+    )
     record(
         benchmark,
         requests=report.requests,
@@ -102,13 +113,14 @@ def test_bench_serve_batched_window8(benchmark, paper_sweep, tmp_path_factory):
         throughput_rps=batched_rps,
         per_request_rps=per_request_rps,
         speedup=speedup,
-        batch_occupancy_mean=report.server_metrics["batch_occupancy_mean"],
-        full_flushes=report.server_metrics["full_flushes"],
-        timer_flushes=report.server_metrics["timer_flushes"],
+        batch_occupancy_mean=occupancy,
+        full_flushes=sum(r.server_metrics["full_flushes"] for r in batched),
+        timer_flushes=sum(r.server_metrics["timer_flushes"] for r in batched),
     )
     # Windows actually coalesce under 16 concurrent closed-loop clients...
-    assert report.server_metrics["batch_occupancy_mean"] > 2.0
-    # ...and amortized inference wins. Measured ~2x; 1.1 leaves CI headroom.
+    assert occupancy > 2.0
+    # ...and amortized inference wins. Measured 1.4-2.5x, median 1.9x, over
+    # ten isolated runs; 1.1 leaves CI headroom.
     assert speedup > 1.1
 
 

@@ -25,7 +25,7 @@ from repro.gpu.device import DeviceSpec, MI100, SMALL_GPU, get_device
 from repro.gpu.host import HostModel
 from repro.gpu.memory import effective_bandwidth_gb_s, gather_bytes_per_access
 from repro.gpu.occupancy import wavefront_slots, workgroup_slots
-from repro.gpu.simulator import GPUSimulator, LaunchResult, simulate_launch
+from repro.gpu.simulator import LaunchResult, simulate_launch
 
 __all__ = [
     "DeviceSpec",
@@ -37,7 +37,6 @@ __all__ = [
     "gather_bytes_per_access",
     "wavefront_slots",
     "workgroup_slots",
-    "GPUSimulator",
     "LaunchResult",
     "simulate_launch",
 ]

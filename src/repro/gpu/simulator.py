@@ -25,16 +25,26 @@ Launches can be simulated one at a time (:func:`simulate_launch`) or as a
 batch (:func:`simulate_launch_batch`).  Kernels describe a launch as a
 :class:`LaunchSpec` so the two paths consume the *same* cycle arrays and are
 bit-identical by construction.
+
+A spec may be *weighted*: entry ``i`` of ``wavefront_cycles`` then stands for
+``wave_counts[i]`` identical wavefronts, so a kernel whose cost depends only
+on a row's length (not its position) describes a launch over the distinct
+row lengths instead of every row.  ``sum(cycles)`` becomes
+``cycles @ counts``; that equals the expanded array's pairwise sum bit for
+bit only when every partial sum is exact, so weighted specs must hold
+integer-valued cycles with ``max(cycles) * sum(counts) < 2**53``
+(:func:`check_exact_weights`), and validation rejects any that do not.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from repro.gpu.device import DeviceSpec, MI100
+from repro.gpu.device import DeviceSpec
 from repro.gpu.memory import memory_time_ms
 from repro.gpu.occupancy import wavefront_slots
 
@@ -70,8 +80,11 @@ class LaunchSpec:
     """One kernel launch awaiting simulation.
 
     ``wavefront_cycles`` must be a 1-D float64 array (use
-    :func:`as_wavefront_cycles` to normalize arbitrary input); the remaining
-    fields mirror the :func:`simulate_launch` parameters.
+    :func:`as_wavefront_cycles` to normalize arbitrary input).  The
+    optional ``wave_counts`` is an integer array of the same shape: entry
+    ``i`` of ``wavefront_cycles`` then stands for ``wave_counts[i]``
+    wavefronts (see the module docstring for the exactness conditions).
+    The remaining fields mirror the :func:`simulate_launch` parameters.
     """
 
     wavefront_cycles: np.ndarray
@@ -81,6 +94,7 @@ class LaunchSpec:
     extra_launches: int = 0
     bandwidth_utilization: float = 1.0
     serial_cycles: float = 0.0
+    wave_counts: Optional[np.ndarray] = None
 
 
 def as_wavefront_cycles(wavefront_cycles) -> np.ndarray:
@@ -89,6 +103,46 @@ def as_wavefront_cycles(wavefront_cycles) -> np.ndarray:
     if cycles.ndim == 0:
         cycles = cycles.reshape(1)
     return cycles
+
+
+#: Doubles hold every integer below this exactly.
+EXACT_INTEGER_LIMIT = 2**53
+
+
+def check_exact_weights(values: np.ndarray, counts: np.ndarray, what: str) -> None:
+    """Check that ``values @ counts`` is exact in any summation order.
+
+    Requires an integer ``counts`` array shaped like ``values``, every count
+    at least 1, integer-valued ``values`` and ``max|values| * sum(counts)``
+    below 2**53.  Every partial sum of the expanded array is then an integer
+    below 2**53, which a double holds exactly, so the weighted sum equals
+    the expanded array's pairwise sum bit for bit.  Raises ``ValueError``
+    naming ``what``.
+    """
+    if counts.shape != values.shape or counts.dtype.kind not in "iu":
+        raise ValueError(
+            f"{what}: weights must be an integer array shaped like the "
+            f"values, got {counts.dtype} {counts.shape} for {values.shape}"
+        )
+    if not counts.size:
+        return
+    if counts.min() < 1:
+        raise ValueError(f"{what}: weights must be >= 1")
+    if (values % 1.0).any():
+        raise ValueError(f"{what}: weighted values must be integer-valued")
+    total = int(counts.sum())
+    peak = int(abs(values).max())
+    if peak * total >= EXACT_INTEGER_LIMIT:
+        raise ValueError(
+            f"{what}: max value {peak} x total weight {total} reaches 2**53, "
+            "so the weighted sum would not be exact"
+        )
+
+
+def exact_weighted_sum(values: np.ndarray, counts: np.ndarray, what: str) -> float:
+    """``values @ counts``, guarded by :func:`check_exact_weights`."""
+    check_exact_weights(values, counts, what)
+    return float(values @ counts)
 
 
 def _validate_spec(spec: LaunchSpec) -> float:
@@ -107,29 +161,34 @@ def _validate_spec(spec: LaunchSpec) -> float:
                 f"{spec.label}: wavefront cycle counts must be finite"
             )
         if lowest < 0:
-            raise ValueError("wavefront cycle counts must be non-negative")
+            raise ValueError(
+                f"{spec.label}: wavefront cycle counts must be non-negative"
+            )
     else:
         highest = 0.0
+    if spec.wave_counts is not None:
+        check_exact_weights(cycles, spec.wave_counts, spec.label)
     if not math.isfinite(spec.bytes_moved):
         raise ValueError(f"{spec.label}: bytes_moved must be finite")
     if spec.bytes_moved < 0:
-        raise ValueError("bytes_moved must be non-negative")
+        raise ValueError(f"{spec.label}: bytes_moved must be non-negative")
     if not math.isfinite(spec.serial_cycles):
         raise ValueError(f"{spec.label}: serial_cycles must be finite")
     if spec.serial_cycles < 0:
-        raise ValueError("serial_cycles must be non-negative")
+        raise ValueError(f"{spec.label}: serial_cycles must be non-negative")
     return highest
 
 
 def _finalize(device: DeviceSpec, spec: LaunchSpec, max_cycles: float) -> LaunchResult:
     """Turn a validated spec plus its max reduction into a LaunchResult."""
     cycles = spec.wavefront_cycles
-    num_wavefronts = int(cycles.shape[0])
+    counts = spec.wave_counts
+    num_wavefronts = int(cycles.shape[0] if counts is None else counts.sum())
     slots = wavefront_slots(device, spec.occupancy_factor)
     if num_wavefronts == 0:
         compute_ms = 0.0
     else:
-        total_cycles = float(cycles.sum())
+        total_cycles = float(cycles.sum() if counts is None else cycles @ counts)
         makespan_cycles = max(total_cycles / slots, max_cycles)
         compute_ms = makespan_cycles * device.cycle_time_ns * 1e-6
     memory_ms = memory_time_ms(device, spec.bytes_moved, spec.bandwidth_utilization)
@@ -157,12 +216,12 @@ def simulate_launch_batch(device: DeviceSpec, specs) -> list:
     """Simulate many launches on one device.
 
     Bit-identical to the scalar path: each launch runs exactly three
-    reductions over its own cycle array (min for validation, max, sum), so
-    the batch costs ``O(total cycles) + O(len(specs))``.  The sums
-    deliberately run per-array through ``ndarray.sum`` rather than one fused
-    segment reduction over a concatenation: NumPy's pairwise summation and
-    a sequential segment sum round differently, so fusing would *not* be
-    bit-identical to :func:`simulate_launch`.
+    reductions over its own cycle array (min for validation, max, sum or
+    weighted sum), so the batch costs ``O(total cycles) + O(len(specs))``.
+    The sums deliberately run per-array through ``ndarray.sum`` rather than
+    one fused segment reduction over a concatenation: NumPy's pairwise
+    summation and a sequential segment sum round differently, so fusing
+    would *not* be bit-identical to :func:`simulate_launch`.
     """
     specs = list(specs)
     maxima = [_validate_spec(spec) for spec in specs]
@@ -170,46 +229,6 @@ def simulate_launch_batch(device: DeviceSpec, specs) -> list:
         _finalize(device, spec, max_cycles)
         for spec, max_cycles in zip(specs, maxima)
     ]
-
-
-@dataclass
-class GPUSimulator:
-    """Stateful wrapper that accumulates launch results for a device."""
-
-    device: DeviceSpec = MI100
-    history: list = field(default_factory=list)
-
-    def launch(
-        self,
-        wavefront_cycles,
-        bytes_moved: float,
-        label: str = "kernel",
-        occupancy_factor: float = 1.0,
-        extra_launches: int = 0,
-        bandwidth_utilization: float = 1.0,
-        serial_cycles: float = 0.0,
-    ) -> LaunchResult:
-        """Simulate one launch and record it in the history."""
-        result = simulate_launch(
-            self.device,
-            wavefront_cycles,
-            bytes_moved,
-            label=label,
-            occupancy_factor=occupancy_factor,
-            extra_launches=extra_launches,
-            bandwidth_utilization=bandwidth_utilization,
-            serial_cycles=serial_cycles,
-        )
-        self.history.append(result)
-        return result
-
-    def total_time_ms(self) -> float:
-        """Sum of all recorded launch times."""
-        return float(sum(result.total_ms for result in self.history))
-
-    def reset(self) -> None:
-        """Forget the recorded history."""
-        self.history.clear()
 
 
 def simulate_launch(

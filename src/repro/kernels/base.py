@@ -30,8 +30,8 @@ from repro.gpu.simulator import (
     LaunchResult,
     LaunchSpec,
     as_wavefront_cycles,
+    exact_weighted_sum,
     group_reduce_max,
-    simulate_launch,
     simulate_launch_batch,
     simulate_spec,
 )
@@ -70,20 +70,20 @@ class LaunchContext:
     """Per-workload cache of the row-structure arrays kernel cost models share.
 
     Every kernel's cycle model starts from the same derived arrays — the row
-    lengths, their float64 view, their sorted order, grouped maxima.
-    Computing them once per measurement instead of once per kernel is where
-    most of the batched path's speedup comes from.  All consumers are
-    read-only and the matrix is not mutated during a measurement, so sharing
-    is safe; a context is cheap to construct and fills lazily.
+    lengths, their float64 view, their sorted order and run-length
+    histogram, grouped maxima.  Computing them once per measurement instead
+    of once per kernel is where most of the batched path's speedup comes
+    from.  All consumers are read-only and a matrix's structure is
+    immutable, so sharing is safe; a context is cheap to construct and
+    fills lazily.
     """
 
     def __init__(self, matrix: CSRMatrix):
         self.matrix = matrix
-        self._row_lengths = None
         self._row_lengths_f64 = None
         self._sorted_f64 = None
-        self._grouped_max: dict = {}
-        self._clamped_stream: dict = {}
+        self._histogram = None
+        self._shared: dict = {}
         self._occupied_rows = None
 
     @classmethod
@@ -101,10 +101,8 @@ class LaunchContext:
 
     @property
     def row_lengths(self) -> np.ndarray:
-        """Integer nonzero count per row."""
-        if self._row_lengths is None:
-            self._row_lengths = self.matrix.row_lengths()
-        return self._row_lengths
+        """Integer nonzero count per row (the matrix's read-only array)."""
+        return self.matrix.row_lengths()
 
     @property
     def row_lengths_f64(self) -> np.ndarray:
@@ -120,6 +118,39 @@ class LaunchContext:
             self._sorted_f64 = np.sort(self.row_lengths_f64)
         return self._sorted_f64
 
+    @property
+    def length_histogram(self) -> tuple:
+        """``(lengths, counts)``: the distinct row lengths and their rows.
+
+        ``lengths`` is ascending float64 and ``counts`` int64, both taken
+        from the run boundaries of :attr:`sorted_row_lengths_f64`.  Cost
+        models that do not depend on row order evaluate their per-row
+        transform once per distinct length.  (``np.bincount`` would size
+        its output by the longest row, up to ``num_cols``, not by the
+        number of rows.)
+        """
+        if self._histogram is None:
+            ordered = self.sorted_row_lengths_f64
+            if ordered.shape[0] == 0:
+                self._histogram = (ordered, np.zeros(0, dtype=np.int64))
+            else:
+                edges = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+                bounds = np.concatenate(([0], edges, [ordered.shape[0]]))
+                self._histogram = (ordered[bounds[:-1]], bounds[1:] - bounds[:-1])
+        return self._histogram
+
+    def shared(self, key, build):
+        """``build()``, computed once per context and cached under ``key``.
+
+        Lets kernels that derive the same array from the row structure
+        (the two adaptive variants, every kernel of one group size) share
+        it without the context knowing their cost models.
+        """
+        cached = self._shared.get(key)
+        if cached is None:
+            cached = self._shared[key] = build()
+        return cached
+
     def grouped_max(self, group_size: int) -> np.ndarray:
         """Grouped maximum of the row lengths (zero-padded tail).
 
@@ -128,27 +159,28 @@ class LaunchContext:
         lengths lets every kernel with the same group size share it and run
         its transform on the ``group_size``-times-smaller array.
         """
-        cached = self._grouped_max.get(group_size)
-        if cached is None:
-            cached = group_reduce_max(self.row_lengths_f64, group_size)
-            self._grouped_max[group_size] = cached
-        return cached
+        return self.shared(
+            ("grouped_max", group_size),
+            lambda: group_reduce_max(self.row_lengths_f64, group_size),
+        )
 
     def clamped_stream_bytes(self, bytes_per_nonzero: float, floor: float) -> float:
         """``sum(max(row_length * bytes_per_nonzero, floor))`` over all rows.
 
         The per-row DRAM traffic with a minimum-transaction floor; the
         warp- and block-mapped kernels use identical expressions, so the
-        reduction is cached per (bytes, floor) pair.
+        reduction is cached per (bytes, floor) pair.  It is evaluated once
+        per distinct length and weighted by the histogram counts, which is
+        exact (and so equal to the per-row sum) while the byte counts are
+        integers whose total stays below 2**53; anything else raises.
         """
-        key = (bytes_per_nonzero, floor)
-        cached = self._clamped_stream.get(key)
-        if cached is None:
-            cached = float(
-                np.maximum(self.row_lengths_f64 * bytes_per_nonzero, floor).sum()
-            )
-            self._clamped_stream[key] = cached
-        return cached
+
+        def build():
+            lengths, counts = self.length_histogram
+            per_length = np.maximum(lengths * bytes_per_nonzero, floor)
+            return exact_weighted_sum(per_length, counts, "clamped stream bytes")
+
+        return self.shared(("clamped_stream", bytes_per_nonzero, floor), build)
 
     @property
     def occupied_rows(self) -> int:
@@ -313,26 +345,6 @@ class SpmvKernel(abc.ABC):
             + matrix.num_rows * VALUE_BYTES
         )
 
-    def _launch(
-        self,
-        wavefront_cycles,
-        bytes_moved: float,
-        occupancy_factor: float = 1.0,
-        extra_launches: int = 0,
-        serial_cycles: float = 0.0,
-    ) -> LaunchResult:
-        """Run the GPU simulator for one launch labelled with this kernel."""
-        return simulate_launch(
-            self.device,
-            wavefront_cycles,
-            bytes_moved,
-            label=self.name,
-            occupancy_factor=occupancy_factor,
-            extra_launches=extra_launches,
-            bandwidth_utilization=self.bandwidth_utilization,
-            serial_cycles=serial_cycles,
-        )
-
     def _spec(
         self,
         wavefront_cycles,
@@ -340,6 +352,7 @@ class SpmvKernel(abc.ABC):
         occupancy_factor: float = 1.0,
         extra_launches: int = 0,
         serial_cycles: float = 0.0,
+        wave_counts=None,
     ) -> LaunchSpec:
         """Build a launch spec labelled and bandwidth-scaled for this kernel."""
         return LaunchSpec(
@@ -350,6 +363,7 @@ class SpmvKernel(abc.ABC):
             extra_launches=extra_launches,
             bandwidth_utilization=self.bandwidth_utilization,
             serial_cycles=serial_cycles,
+            wave_counts=wave_counts,
         )
 
 

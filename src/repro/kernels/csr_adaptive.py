@@ -38,6 +38,27 @@ BINNING_OPS_PER_ROW = 1.0
 VENDOR_CPN = 3.5
 
 
+def adaptive_wave_work(sorted_lengths: np.ndarray, simd_width: int) -> tuple:
+    """``(block_nnz / simd_width, strips)``: the adaptive kernels' wave work.
+
+    ``sorted_lengths`` are the ascending row lengths; the short/long split
+    is a binary search on them (two views) instead of two boolean-mask
+    passes and copies.  Stream path: like-sized short rows are packed into
+    blocks of roughly ROW_BLOCK_NNZ nonzeros; each block is one wavefront
+    streaming through the LDS with negligible imbalance.  Vector path: long
+    rows are split across wavefronts of ``simd_width`` nonzeros each.
+    """
+    split = int(np.searchsorted(sorted_lengths, SHORT_ROW_LIMIT, side="right"))
+    short = sorted_lengths[:split]
+    long = sorted_lengths[split:]
+    block_strips = short
+    if short.size:
+        # How many sorted short rows fit in one ROW_BLOCK_NNZ-sized block.
+        rows_per_block = max(1, int(ROW_BLOCK_NNZ / max(float(short.mean()), 1.0)))
+        block_strips = group_reduce_sum(short, rows_per_block) / simd_width
+    return block_strips, np.ceil(long / simd_width)
+
+
 class CsrAdaptive(SpmvKernel):
     """Adaptive-CSR: row binning preprocessing plus streamed execution."""
 
@@ -59,34 +80,22 @@ class CsrAdaptive(SpmvKernel):
         return binning_ms + upload_ms
 
     def _launch_spec(self, matrix: CSRMatrix, context: LaunchContext) -> LaunchSpec:
-        # The sorted lengths are shared with the vendor variant; the
-        # short/long split is a binary search on the sorted array (two
-        # views) instead of two boolean-mask passes and copies.
-        row_lengths = context.sorted_row_lengths_f64
-        split = int(np.searchsorted(row_lengths, SHORT_ROW_LIMIT, side="right"))
-        short = row_lengths[:split]
-        long = row_lengths[split:]
-
-        wave_costs = []
-        if short.size:
-            # Stream path: like-sized rows are packed into blocks of roughly
-            # ROW_BLOCK_NNZ nonzeros; each block is one wavefront streaming
-            # through the LDS with negligible imbalance.
-            block_nnz = group_reduce_sum(short, self._rows_per_block(short))
-            wave_costs.append(
-                block_nnz / self.device.simd_width * self.cycles_per_nonzero
-                + WAVE_REDUCTION_CYCLES
-                + ROW_OVERHEAD_CYCLES
-            )
-        if long.size:
-            # Vector path: long rows are split across wavefronts of
-            # simd_width nonzeros each.
-            strips = np.ceil(long / self.device.simd_width)
-            wave_costs.append(
-                strips * self.cycles_per_nonzero
-                + WAVE_REDUCTION_CYCLES
-                + ROW_OVERHEAD_CYCLES
-            )
+        # Both adaptive variants share the per-wave work and differ only in
+        # cycles_per_nonzero.  The block sums are not integer-valued and
+        # their packing depends on the sorted order, so the waves stay per
+        # block and per long row (no histogram weights).
+        simd_width = self.device.simd_width
+        block_strips, strips = context.shared(
+            ("adaptive", simd_width),
+            lambda: adaptive_wave_work(context.sorted_row_lengths_f64, simd_width),
+        )
+        wave_costs = [
+            work * self.cycles_per_nonzero
+            + WAVE_REDUCTION_CYCLES
+            + ROW_OVERHEAD_CYCLES
+            for work in (block_strips, strips)
+            if work.size
+        ]
         wavefront_cycles = (
             np.concatenate(wave_costs) if wave_costs else np.zeros(1)
         )
@@ -95,10 +104,6 @@ class CsrAdaptive(SpmvKernel):
         )
         return self._spec(wavefront_cycles, bytes_moved)
 
-    def _rows_per_block(self, short_row_lengths: np.ndarray) -> int:
-        """How many sorted short rows fit in one ROW_BLOCK_NNZ-sized block."""
-        mean_length = float(short_row_lengths.mean()) if short_row_lengths.size else 1.0
-        return max(1, int(ROW_BLOCK_NNZ / max(mean_length, 1.0)))
 
 class RocSparseAdaptive(CsrAdaptive):
     """rocSPARSE-like vendor kernel.

@@ -44,9 +44,12 @@ class CsrBlockMapped(SpmvKernel):
 
     def _launch_spec(self, matrix: CSRMatrix, context: LaunchContext) -> LaunchSpec:
         group_width = self.device.simd_width * WAVES_PER_WORKGROUP
-        # In place on the strip count; summands are integer-valued doubles,
-        # so folding the constants matches the chained adds bit for bit.
-        workgroup_cycles = np.ceil(context.row_lengths_f64 / group_width)
+        # A row's cost depends only on its length: one entry per distinct
+        # length.  In place on the strip count; summands are integer-valued
+        # doubles, so folding the constants matches the chained adds bit
+        # for bit.
+        lengths, counts = context.length_histogram
+        workgroup_cycles = np.ceil(lengths / group_width)
         workgroup_cycles *= CYCLES_PER_NONZERO
         workgroup_cycles += BLOCK_REDUCTION_CYCLES + ROW_OVERHEAD_CYCLES
         stream_bytes = context.clamped_stream_bytes(
@@ -59,9 +62,11 @@ class CsrBlockMapped(SpmvKernel):
             + self._gather_bytes(matrix, matrix.nnz)
         )
         # Every wavefront of the workgroup is busy for the workgroup's
-        # duration, so the launch contains WAVES_PER_WORKGROUP waves per row
-        # with the same cost.
-        wavefront_cycles = np.repeat(workgroup_cycles, WAVES_PER_WORKGROUP)
+        # duration, so each row contributes WAVES_PER_WORKGROUP waves of the
+        # same cost.
         return self._spec(
-            wavefront_cycles, bytes_moved, occupancy_factor=BLOCK_OCCUPANCY
+            workgroup_cycles,
+            bytes_moved,
+            occupancy_factor=BLOCK_OCCUPANCY,
+            wave_counts=counts * WAVES_PER_WORKGROUP,
         )

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.gpu.simulator import LaunchSpec
+from repro.gpu.simulator import LaunchSpec, exact_weighted_sum
 from repro.kernels.base import (
     CSR_NNZ_BYTES,
     CYCLES_PER_NONZERO,
@@ -48,17 +48,23 @@ class CsrThreadMapped(SpmvKernel):
     bandwidth_utilization = 0.90
 
     def _launch_spec(self, matrix: CSRMatrix, context: LaunchContext) -> LaunchSpec:
-        row_lengths = context.row_lengths_f64
         # The per-lane cycle transform is monotone in the row length, so it
         # commutes with the wavefront max: transforming the shared grouped
         # maxima is bit-identical to group-reducing the transformed lanes
-        # and touches a simd_width-times-smaller array.
+        # and touches a simd_width-times-smaller array.  (The grouping
+        # depends on row order, so the cycles stay per row.)
         wavefront_cycles = (
             context.grouped_max(self.device.simd_width) * CYCLES_PER_NONZERO
             + ROW_OVERHEAD_CYCLES
         )
-        penalty = uncoalesced_penalty(row_lengths)
-        stream_bytes = float((row_lengths * CSR_NNZ_BYTES * penalty).sum())
+        # The stream bytes do not depend on row order: 12 * l * penalty(l)
+        # is a multiple of 6 for integer l, so the histogram-weighted sum
+        # is exact and equals the per-row sum.
+        lengths, counts = context.length_histogram
+        per_length = lengths * CSR_NNZ_BYTES * uncoalesced_penalty(lengths)
+        stream_bytes = exact_weighted_sum(
+            per_length, counts, f"{self.name} stream bytes"
+        )
         bytes_moved = (
             stream_bytes
             + (matrix.num_rows + 1) * INDEX_BYTES

@@ -46,10 +46,13 @@ class CsrWarpMapped(SpmvKernel):
     bandwidth_utilization = 0.80
 
     def _launch_spec(self, matrix: CSRMatrix, context: LaunchContext) -> LaunchSpec:
+        # One wavefront per row, and a row's cost depends only on its length:
+        # evaluate each distinct length once and weight it by its row count.
         # Computed in place on the strip count; the summands stay exact
         # (strip counts and cycle constants are integer-valued doubles), so
         # folding the constants matches the chained adds bit for bit.
-        wavefront_cycles = np.ceil(context.row_lengths_f64 / self.device.simd_width)
+        lengths, counts = context.length_histogram
+        wavefront_cycles = np.ceil(lengths / self.device.simd_width)
         wavefront_cycles *= CYCLES_PER_NONZERO
         wavefront_cycles += (
             WAVE_REDUCTION_CYCLES + ROW_OVERHEAD_CYCLES + PER_ROW_BOOKKEEPING_CYCLES
@@ -63,4 +66,4 @@ class CsrWarpMapped(SpmvKernel):
             + matrix.num_rows * VALUE_BYTES
             + self._gather_bytes(matrix, matrix.nnz)
         )
-        return self._spec(wavefront_cycles, bytes_moved)
+        return self._spec(wavefront_cycles, bytes_moved, wave_counts=counts)

@@ -153,14 +153,14 @@ class RowRuns:
             )
         return cols
 
-    def validate(self, row_offsets: np.ndarray, num_cols: int) -> None:
+    def validate(self, row_lengths: np.ndarray, num_cols: int) -> None:
         """Check the recipe in O(rows), raising :class:`SparseFormatError`.
 
         One run per row, ``0 <= starts < num_cols``, ``strides >= 1`` and
         ``(length - 1) * stride < num_cols``: together these keep every
         expanded column in bounds and unique within its row.
         """
-        num_rows = row_offsets.shape[0] - 1
+        num_rows = row_lengths.shape[0]
         if self.starts.shape != (num_rows,) or self.strides.shape != (num_rows,):
             raise SparseFormatError(
                 f"column runs must hold one start and one stride per row, got "
@@ -173,7 +173,7 @@ class RowRuns:
         if self.strides.min() < 1:
             raise SparseFormatError("column run strides must be positive")
         # (length - 1) * stride < num_cols, written so it cannot overflow.
-        if np.any(np.diff(row_offsets) - 1 > (num_cols - 1) // self.strides):
+        if np.any(row_lengths - 1 > (num_cols - 1) // self.strides):
             raise SparseFormatError("column run would repeat a column")
 
 
@@ -194,6 +194,10 @@ class CSRMatrix:
     values:
         Stored values, aligned with ``col_indices``.  The constructor also
         accepts a :class:`DeferredValues` recipe, drawn on first access.
+
+    The structure (dimensions, ``row_offsets`` and the columns) is immutable
+    after construction: :meth:`validate` derives the row lengths once and
+    every cost model and feature reads that one array.
     """
 
     def __init__(
@@ -271,13 +275,16 @@ class CSRMatrix:
             )
         if self.row_offsets[0] != 0:
             raise SparseFormatError("row_offsets must start at 0")
-        if np.any(np.diff(self.row_offsets) < 0):
+        lengths = np.diff(self.row_offsets)
+        if lengths.shape[0] and lengths.min() < 0:
             raise SparseFormatError("row_offsets must be non-decreasing")
+        lengths.setflags(write=False)
+        self._row_lengths = lengths
         if self._values.shape != (self.nnz,):
             raise SparseFormatError("values must hold one entry per nonzero")
         columns = self._col_indices
         if isinstance(columns, RowRuns):
-            columns.validate(self.row_offsets, self.num_cols)
+            columns.validate(lengths, self.num_cols)
             return
         if columns.shape != (self.nnz,):
             raise SparseFormatError("row_offsets must end at nnz")
@@ -373,8 +380,8 @@ class CSRMatrix:
     # Computation
     # ------------------------------------------------------------------
     def row_lengths(self) -> np.ndarray:
-        """Number of stored entries per row."""
-        return np.diff(self.row_offsets)
+        """Number of stored entries per row (read-only, computed once)."""
+        return self._row_lengths
 
     def row_slice(self, row: int) -> tuple:
         """Return ``(col_indices, values)`` for a single row."""

@@ -7,7 +7,6 @@ from repro.gpu.device import MI100, SMALL_GPU
 from repro.gpu.memory import memory_time_ms
 from repro.gpu.occupancy import wavefront_slots
 from repro.gpu.simulator import (
-    GPUSimulator,
     group_reduce_max,
     group_reduce_sum,
     simulate_launch,
@@ -88,16 +87,12 @@ def test_more_parallelism_is_never_slower():
     assert large.compute_ms < small.compute_ms
 
 
-def test_gpu_simulator_accumulates_history():
-    simulator = GPUSimulator(device=MI100)
-    simulator.launch([10.0], bytes_moved=100.0, label="a")
-    simulator.launch([10.0], bytes_moved=100.0, label="b")
-    assert len(simulator.history) == 2
-    assert simulator.total_time_ms() == pytest.approx(
-        sum(r.total_ms for r in simulator.history)
-    )
-    simulator.reset()
-    assert simulator.history == []
+def test_launches_are_independent_and_labelled():
+    first = simulate_launch(MI100, [10.0], bytes_moved=100.0, label="a")
+    second = simulate_launch(MI100, [10.0], bytes_moved=100.0, label="b")
+    assert (first.label, second.label) == ("a", "b")
+    assert first.total_ms == second.total_ms
+    assert first == simulate_launch(MI100, [10.0], bytes_moved=100.0, label="a")
 
 
 def test_group_reduce_helpers():
@@ -203,3 +198,84 @@ def test_group_reduce_divisible_fast_path():
     values = np.array([1.0, 5.0, 2.0, 7.0, 3.0, 4.0])
     np.testing.assert_array_equal(group_reduce_max(values, 3), [5.0, 7.0])
     np.testing.assert_array_equal(group_reduce_sum(values, 3), [8.0, 14.0])
+
+
+# ----------------------------------------------------------------------
+# Weighted launch specs (wave_counts) and the kernel-naming messages
+# ----------------------------------------------------------------------
+def _weighted_spec(cycles, counts, label="CSR,XX"):
+    from repro.gpu.simulator import LaunchSpec
+
+    return LaunchSpec(
+        wavefront_cycles=np.asarray(cycles, dtype=np.float64),
+        bytes_moved=1e5,
+        label=label,
+        wave_counts=np.asarray(counts),
+    )
+
+
+def test_weighted_spec_matches_its_expansion():
+    from repro.gpu.simulator import LaunchSpec, simulate_launch_batch, simulate_spec
+
+    cycles = np.array([3.0, 10.0, 64.0, 1e6])
+    counts = np.array([5, 1, 130, 7], dtype=np.int64)
+    weighted = _weighted_spec(cycles, counts)
+    expanded = LaunchSpec(
+        wavefront_cycles=np.repeat(cycles, counts), bytes_moved=1e5, label="CSR,XX"
+    )
+    result = simulate_spec(MI100, weighted)
+    assert result == simulate_spec(MI100, expanded)
+    assert result.num_wavefronts == int(counts.sum())
+    assert simulate_launch_batch(MI100, [weighted]) == [result]
+
+
+def test_empty_weighted_spec_costs_only_overhead():
+    from repro.gpu.simulator import simulate_spec
+
+    result = simulate_spec(MI100, _weighted_spec([], np.zeros(0, dtype=np.int64)))
+    assert result.num_wavefronts == 0
+    assert result.compute_ms == 0.0
+
+
+@pytest.mark.parametrize(
+    "cycles, counts, message",
+    [
+        ([1.0, 2.0], [1], "integer array shaped like the values"),
+        ([1.0, 2.0], [1.0, 2.0], "integer array shaped like the values"),
+        ([1.0, 2.0], [1, 0], "weights must be >= 1"),
+        ([1.0, 2.0], [-3, 1], "weights must be >= 1"),
+        ([1.5, 2.0], [1, 1], "weighted values must be integer-valued"),
+        ([2.0**40, 1.0], [2**13, 1], r"reaches 2\*\*53"),
+    ],
+)
+def test_invalid_wave_counts_rejected_naming_the_kernel(cycles, counts, message):
+    from repro.gpu.simulator import simulate_launch_batch, simulate_spec
+
+    spec = _weighted_spec(cycles, counts)
+    with pytest.raises(ValueError, match=rf"^CSR,XX: .*{message}"):
+        simulate_spec(MI100, spec)
+    with pytest.raises(ValueError, match=rf"^CSR,XX: .*{message}"):
+        simulate_launch_batch(MI100, [_weighted_spec([1.0], [1]), spec])
+
+
+def test_weighted_sum_bound_is_exclusive_at_2_pow_53():
+    from repro.gpu.simulator import simulate_spec
+
+    below = simulate_spec(MI100, _weighted_spec([2.0**40], [2**13 - 1]))
+    assert below.num_wavefronts == 2**13 - 1
+    with pytest.raises(ValueError, match=r"reaches 2\*\*53"):
+        simulate_spec(MI100, _weighted_spec([2.0**40], [2**13]))
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"wavefront_cycles": [-1.0]}, "wavefront cycle counts"),
+        ({"bytes_moved": -5.0}, "bytes_moved"),
+        ({"serial_cycles": -1.0}, "serial_cycles"),
+    ],
+)
+def test_negative_inputs_name_the_kernel(kwargs, field):
+    arguments = {"wavefront_cycles": [1.0], "bytes_moved": 0.0, **kwargs}
+    with pytest.raises(ValueError, match=rf"^CSR,WM: {field} must be non-negative$"):
+        simulate_launch(MI100, label="CSR,WM", **arguments)

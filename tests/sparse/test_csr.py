@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sparse.coo import SparseFormatError
-from repro.sparse.csr import CSRMatrix
+from repro.sparse.csr import CSRMatrix, RowRuns
 
 
 def _dense_example():
@@ -66,6 +66,39 @@ def test_row_lengths_and_row_slice():
     cols, values = csr.row_slice(3)
     np.testing.assert_array_equal(cols, [1, 2, 3])
     np.testing.assert_allclose(values, [5.0, 6.0, 7.0])
+
+
+def test_row_lengths_are_read_only_and_derived_once(monkeypatch):
+    from repro.core.benchmarking import measure_matrix
+    from repro.domains import get_domain
+    from repro.kernels.base import LaunchContext
+    from repro.kernels.ell_thread import EllThreadMapped
+
+    lengths = np.array([3, 0, 7, 7, 1, 0, 12], dtype=np.int64)
+    row_offsets = np.concatenate(([0], np.cumsum(lengths)))
+    runs = RowRuns(starts=np.zeros(7, dtype=np.int64), strides=np.ones(7, dtype=np.int64))
+    real_diff = np.diff
+    calls = []
+
+    def counting_diff(*args, **kwargs):
+        calls.append(args)
+        return real_diff(*args, **kwargs)
+
+    monkeypatch.setattr(np, "diff", counting_diff)
+    matrix = CSRMatrix(7, 12, row_offsets, runs, np.ones(int(lengths.sum())))
+    assert len(calls) == 1  # validation, with the recipe checked against it
+    row_lengths = matrix.row_lengths()
+    np.testing.assert_array_equal(row_lengths, lengths)
+    assert matrix.row_lengths() is row_lengths
+    assert not row_lengths.flags.writeable
+    with pytest.raises(ValueError):
+        row_lengths[0] = 5
+    assert LaunchContext(matrix).row_lengths is row_lengths
+    ell = EllThreadMapped()
+    assert ell.supports(matrix) and ell._padded_width(matrix) == 12
+    domain = get_domain("spmv")
+    measure_matrix("m", matrix, domain.default_kernels(), domain.make_pipeline())
+    assert len(calls) == 1
 
 
 def test_transpose_matches_dense_transpose():

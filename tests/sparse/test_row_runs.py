@@ -82,16 +82,17 @@ def test_generated_runs_stay_in_bounds_sorted_and_unique(lengths, num_cols, seed
         assert cols.shape[0] == 0 or (cols.min() >= 0 and cols.max() < num_cols)
 
 
-@pytest.mark.parametrize(
-    "starts, strides, message",
-    [
-        ([0, 4], [1, 1], "start out of bounds"),
-        ([-1, 0], [1, 1], "start out of bounds"),
-        ([0, 0], [1, 0], "strides must be positive"),
-        ([0, 0], [1, 2], "repeat a column"),
-        ([0], [1], "one start and one stride per row"),
-    ],
-)
+#: Runs a 2-row, 4-column matrix with row offsets ``[0, 1, 4]`` must refuse.
+INVALID_RUNS = [
+    ([0, 4], [1, 1], "start out of bounds"),
+    ([-1, 0], [1, 1], "start out of bounds"),
+    ([0, 0], [1, 0], "strides must be positive"),
+    ([0, 0], [1, 2], "repeat a column"),
+    ([0], [1], "one start and one stride per row"),
+]
+
+
+@pytest.mark.parametrize("starts, strides, message", INVALID_RUNS)
 def test_invalid_runs_rejected(starts, strides, message):
     # Row 1 holds 3 entries of a 4-column matrix: a stride of 2 would wrap
     # back onto its start column.
@@ -106,3 +107,20 @@ def test_invalid_runs_rejected(starts, strides, message):
             ),
             values=np.ones(4),
         )
+
+
+@pytest.mark.parametrize("starts, strides, message", INVALID_RUNS)
+def test_runs_checked_against_supplied_row_lengths(starts, strides, message):
+    # The constructor hands the recipe the matrix's own row lengths; the
+    # recipe alone, given the same lengths, refuses every invalid case.
+    runs = RowRuns(
+        starts=np.array(starts, dtype=np.int64),
+        strides=np.array(strides, dtype=np.int64),
+    )
+    with pytest.raises(SparseFormatError, match=message):
+        runs.validate(np.array([1, 3], dtype=np.int64), 4)
+
+
+def test_supplied_row_lengths_accept_valid_runs():
+    matrix = gen.power_law_matrix(300, 250, 6.0, rng=3)
+    matrix.column_runs.validate(matrix.row_lengths(), matrix.num_cols)
