@@ -1,10 +1,10 @@
 """Parallel, cached sweep engine.
 
 The experiment drivers all need the same expensive artifact — a benchmarked,
-trained and evaluated :class:`~repro.bench.runner.SweepResult` — and the
-serial reference path in :mod:`repro.bench.runner` recomputes it from
-scratch on every invocation.  :class:`SweepEngine` makes that artifact cheap
-to come by twice:
+trained and evaluated :class:`~repro.bench.runner.SweepResult`.
+:class:`SweepEngine` is the one path that produces it (``run_sweep`` without
+an engine runs a default, in-process and cacheless one), and a configured
+engine makes the artifact cheap to come by twice:
 
 * **Parallel benchmarking.**  The per-matrix benchmarking + feature
   collection work is fanned out over worker processes
@@ -12,8 +12,8 @@ to come by twice:
   :class:`~repro.sparse.collection.MatrixSpec` recipes — not built matrices —
   so only small tuples cross the process boundary and every matrix is
   generated, benchmarked and discarded inside one worker.  Results are
-  reassembled in spec order, so the parallel path is bit-identical to the
-  serial one.
+  reassembled in spec order, so every worker count produces bit-identical
+  sweeps.
 
 * **Persistent caching.**  With a ``cache_dir``, each
   :class:`~repro.core.benchmarking.MatrixMeasurement` is stored as JSON keyed
@@ -295,6 +295,10 @@ def _measure_spec_chunk(
     computed does not change its value.  With a ``matrix_dir``, built
     matrices are served from and stored into the matrix artifact tier.
 
+    Consecutive specs with the same :func:`matrix_key` (SpMM's ``num_vectors``
+    variants of one recipe) share one built matrix; each reuse counts as a
+    matrix cache hit, as the tier load it replaces would.
+
     Returns ``(measurements, matrices_generated, matrix_cache_hits)``.
     """
     domain = get_domain(domain)
@@ -304,19 +308,26 @@ def _measure_spec_chunk(
     measurements = []
     generated = 0
     matrix_hits = 0
+    matrix = None
+    previous_key = None
     for spec in specs:
-        matrix = None
-        artifact_path = None
-        if matrix_dir is not None:
-            artifact_path = matrix_dir / (matrix_key(spec, domain) + sparse_io.TIER_SUFFIX)
-            matrix = _load_matrix_artifact(artifact_path)
-        if matrix is None:
-            matrix = domain.spec_matrix(spec)
-            generated += 1
-            if artifact_path is not None:
-                atomic_write_bytes(artifact_path, sparse_io.csr_to_tier_bytes(matrix))
-        else:
+        key = matrix_key(spec, domain)
+        if key == previous_key:
             matrix_hits += 1
+        else:
+            previous_key = key
+            matrix = None
+            artifact_path = None
+            if matrix_dir is not None:
+                artifact_path = matrix_dir / (key + sparse_io.TIER_SUFFIX)
+                matrix = _load_matrix_artifact(artifact_path)
+            if matrix is None:
+                matrix = domain.spec_matrix(spec)
+                generated += 1
+                if artifact_path is not None:
+                    atomic_write_bytes(artifact_path, sparse_io.csr_to_tier_bytes(matrix))
+            else:
+                matrix_hits += 1
         workload = domain.workload_from_matrix(spec, matrix)
         measurements.append(measure_matrix(spec.name, workload, kernels, pipeline))
     return measurements, generated, matrix_hits
@@ -465,9 +476,9 @@ class SweepEngine:
         """Benchmark workload recipes, in order, using cache and workers.
 
         Returns one :class:`~repro.core.benchmarking.MatrixMeasurement` per
-        spec, in the order the specs were given — identical to what the
-        serial loop in :func:`repro.core.benchmarking.run_benchmark_suite`
-        produces for the same recipes.
+        spec, in the order the specs were given — identical to what
+        :func:`repro.core.benchmarking.run_benchmark_suite` produces for the
+        same workloads.
         """
         domain = get_domain(domain)
         specs = list(specs)
@@ -544,9 +555,9 @@ class SweepEngine:
     ):
         """Run (or reload) the full pipeline for one configuration.
 
-        Semantics match :func:`repro.bench.runner.run_sweep` exactly; the
-        only differences are where the benchmarking happens (worker
-        processes) and whether it happens at all (cache hit).
+        :func:`repro.bench.runner.run_sweep` delegates here.  The worker
+        count and the cache decide only where the benchmarking happens and
+        whether it happens at all (cache hit), never the result.
         """
         from repro.bench.runner import assemble_sweep
 
@@ -625,8 +636,8 @@ def engine_from_env(environ=None, jobs=None, cache_dir=None):
     ``jobs``/``cache_dir`` override the corresponding environment variable
     (each independently), so callers with explicit settings — e.g. CLI
     flags — can merge them with the environment.  Returns ``None`` when the
-    result would be the plain serial, cacheless configuration — the serial
-    reference path covers that case without an engine.
+    result would be the plain in-process, cacheless configuration —
+    :func:`~repro.bench.runner.run_sweep` runs its default engine for that.
     """
     environ = os.environ if environ is None else environ
     if jobs is None:

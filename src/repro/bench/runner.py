@@ -6,11 +6,11 @@ model training and evaluation — and returns everything the experiment
 drivers need.  All experiment modules share one sweep per configuration so
 the expensive benchmarking work is done once.
 
-The benchmarking stage can optionally be delegated to a
-:class:`repro.bench.engine.SweepEngine`, which fans the per-matrix work out
-over worker processes and caches artifacts on disk; the serial in-process
-path below remains the reference implementation the engine must match
-bit-for-bit.
+The benchmarking stage always runs through a
+:class:`repro.bench.engine.SweepEngine`: the default one measures in-process
+without a disk cache, and a configured one fans the per-matrix work out over
+worker processes and caches artifacts on disk.  Every worker count and
+cache state produces bit-identical sweeps.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.bench.evaluation import EvaluationReport, evaluate_dataset
-from repro.core.benchmarking import BenchmarkSuite, run_benchmark_suite
+from repro.core.benchmarking import BenchmarkSuite
 from repro.core.dataset import (
     DEFAULT_ITERATION_COUNTS,
     TrainingDataset,
@@ -27,7 +27,6 @@ from repro.core.dataset import (
 )
 from repro.core.inference import SeerPredictor
 from repro.core.training import SeerModels, TrainingConfig, train_seer_models
-from repro.domains import get_domain
 from repro.gpu.device import MI100
 from repro.ml.split import train_test_split
 
@@ -77,9 +76,9 @@ def assemble_sweep(
     """Turn a benchmark suite into a full :class:`SweepResult`.
 
     This is the deterministic back half of the pipeline — dataset assembly,
-    the stratified 80/20 split, model training and evaluation — shared by the
-    serial :func:`run_sweep` path and the parallel/cached
-    :class:`~repro.bench.engine.SweepEngine` path.
+    the stratified 80/20 split, model training and evaluation — that
+    :meth:`~repro.bench.engine.SweepEngine.run_sweep` runs after the
+    benchmarking stage.
     """
     dataset = build_training_dataset(suite, iteration_counts)
 
@@ -114,7 +113,6 @@ def run_sweep(
     split_seed: int = DEFAULT_SPLIT_SEED,
     config: Optional[TrainingConfig] = None,
     include_rocsparse: bool = True,
-    collection=None,
     engine=None,
     domain=None,
 ) -> SweepResult:
@@ -124,7 +122,7 @@ def run_sweep(
     ----------
     profile:
         Synthetic-collection profile (``tiny``/``small``/``medium``/``full``/
-        ``wide``/``banded``); ignored when ``collection`` is given.
+        ``wide``/``banded``).
     iteration_counts:
         Iteration counts the training corpus covers.
     device:
@@ -138,46 +136,25 @@ def run_sweep(
     include_rocsparse:
         Whether the vendor/aux kernels join the kernel set (for the SpMV
         case study: the rocSPARSE adaptive kernel).
-    collection:
-        Pre-built collection (any iterable of records), overriding
-        ``profile``/``seed``.
     engine:
-        Optional :class:`repro.bench.engine.SweepEngine` that parallelizes
-        the benchmarking stage and serves repeated configurations from its
-        on-disk cache.  Requires a named ``profile`` (the cache key is built
-        from the collection recipe, which a pre-built ``collection`` does not
-        carry).
+        The :class:`repro.bench.engine.SweepEngine` that runs the sweep:
+        it may parallelize the benchmarking stage and serve repeated
+        configurations from its on-disk cache.  ``None`` runs a default
+        engine (in-process, no disk cache).
     domain:
         Problem domain to sweep (name or instance); defaults to ``"spmv"``.
         ``run_sweep(profile="tiny", domain="spmm")`` runs the SpMM domain
         end to end through exactly the same pipeline.
     """
-    domain = get_domain(domain)
-    if engine is not None:
-        if collection is not None:
-            raise ValueError(
-                "engine-backed sweeps need a named profile; a pre-built "
-                "collection has no recipe to key the cache by"
-            )
-        return engine.run_sweep(
-            profile=profile,
-            iteration_counts=iteration_counts,
-            device=device,
-            seed=seed,
-            split_seed=split_seed,
-            config=config,
-            include_rocsparse=include_rocsparse,
-            domain=domain,
-        )
-    if collection is None:
-        # Workloads are generated lazily so only one lives in memory at a time.
-        collection = domain.iter_collection(profile, base_seed=seed)
-    kernels = domain.default_kernels(device, include_aux=include_rocsparse)
-    suite = run_benchmark_suite(collection, kernels=kernels, device=device, domain=domain)
-    return assemble_sweep(
-        suite,
+    from repro.bench.engine import SweepEngine  # the engine imports this module
+
+    return (engine or SweepEngine()).run_sweep(
+        profile=profile,
         iteration_counts=iteration_counts,
         device=device,
+        seed=seed,
         split_seed=split_seed,
         config=config,
+        include_rocsparse=include_rocsparse,
+        domain=domain,
     )

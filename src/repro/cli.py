@@ -96,9 +96,9 @@ def _resolve_engine(args) -> SweepEngine:
     """Engine described by ``--jobs``/``--cache-dir``, or ``None``.
 
     Each explicit flag overrides its ``SEER_JOBS``/``SEER_CACHE_DIR``
-    environment variable independently (so ``--jobs 1`` forces the serial
-    benchmarking stage even with ``SEER_JOBS`` exported); with neither flags
-    nor environment, the serial reference path runs.
+    environment variable independently (so ``--jobs 1`` forces in-process
+    benchmarking even with ``SEER_JOBS`` exported); with neither flags nor
+    environment, ``run_sweep`` runs its default in-process, cacheless engine.
     """
     try:
         return engine_from_env(jobs=args.jobs, cache_dir=args.cache_dir)

@@ -197,10 +197,10 @@ def measure_matrix(name, workload, kernels, pipeline) -> MatrixMeasurement:
     ``pipeline`` is the domain's :class:`~repro.pipeline.FeaturePipeline`.
 
     Every kernel and the feature collector share one
-    :class:`~repro.kernels.base.LaunchContext`, and all launches are
-    simulated through :func:`~repro.gpu.simulator.simulate_launch_batch`;
-    the result is bit-identical to timing each kernel independently (both
-    evaluate the same :class:`~repro.gpu.simulator.LaunchSpec` objects).
+    :class:`~repro.kernels.base.LaunchContext`, and the kernels are timed
+    through :func:`~repro.kernels.base.batch_timings`; the result is
+    bit-identical to timing each kernel independently (both evaluate the
+    same :class:`~repro.gpu.simulator.LaunchSpec` objects).
     """
     from repro.kernels.base import LaunchContext, batch_timings
 

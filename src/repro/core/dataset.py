@@ -90,12 +90,6 @@ class TrainingDataset:
         """Fastest-kernel label of every sample."""
         return [sample.best_kernel for sample in self.samples]
 
-    def collection_times(self) -> np.ndarray:
-        """Feature-collection cost of every sample."""
-        return np.array(
-            [sample.collection_time_ms for sample in self.samples], dtype=np.float64
-        )
-
     def subset(self, indices) -> "TrainingDataset":
         """A new dataset containing only the given sample indices."""
         return TrainingDataset(

@@ -114,71 +114,14 @@ class SeerPredictor:
     ) -> SelectionDecision:
         """Select a kernel from pre-computed features (no matrix access).
 
-        This is the entry point the evaluation harness uses: the benchmark
-        sweep already measured the gathered features and their collection
-        cost, so re-simulating collection here would double-count it.
+        For features a benchmark sweep already measured: the gathered row's
+        collection cost is taken as given, so re-simulating collection here
+        would double-count it.  (The evaluation harness decides whole
+        datasets at once through :meth:`SeerModels.predict_batch`.)
         """
         return self._decide_flow(
             known, name, lambda: gathered.with_collection_time(collection_time_ms)
         )
-
-    def predict_batch_from_features(
-        self, known_rows, gathered_rows, names=None
-    ) -> list:
-        """Select kernels for N pre-computed feature rows in one pass.
-
-        ``known_rows`` and ``gathered_rows`` are matching sequences of
-        known/gathered feature objects (the gathered rows carrying their
-        measured ``collection_time_ms``); ``names`` optionally labels each
-        decision.  All three decision trees are evaluated through the
-        compiled vectorized path (:meth:`SeerModels.predict_batch`), and
-        each returned :class:`SelectionDecision` is identical to what
-        :meth:`predict_from_features` produces for the same row — only the
-        per-row Python tree walks are gone.
-        """
-        known_rows = list(known_rows)
-        gathered_rows = list(gathered_rows)
-        if len(known_rows) != len(gathered_rows):
-            raise ValueError(
-                f"known and gathered rows disagree on the sample count: "
-                f"{len(known_rows)} vs {len(gathered_rows)}"
-            )
-        if names is None:
-            names = ["matrix"] * len(known_rows)
-        elif len(names) != len(known_rows):
-            raise ValueError("names must match the number of rows")
-        if not known_rows:
-            return []
-        known_matrix = np.stack([known.as_vector() for known in known_rows])
-        gathered_matrix = np.stack(
-            [gathered.as_vector() for gathered in gathered_rows]
-        )
-        batch = self.models.predict_batch(known_matrix, gathered_matrix)
-        decisions = []
-        for index, (known, gathered) in enumerate(zip(known_rows, gathered_rows)):
-            if batch.selector_choices[index] == USE_GATHERED:
-                selector_choice = USE_GATHERED
-                kernel_name = batch.gathered_kernels[index]
-                out_gathered = gathered
-                collection_ms = gathered.collection_time_ms
-            else:
-                selector_choice = USE_KNOWN
-                kernel_name = batch.known_kernels[index]
-                out_gathered = self.domain.empty_gathered()
-                collection_ms = 0.0
-            decisions.append(
-                SelectionDecision(
-                    matrix_name=names[index],
-                    iterations=known.iterations,
-                    selector_choice=selector_choice,
-                    kernel_name=kernel_name,
-                    known=known,
-                    gathered=out_gathered,
-                    collection_time_ms=collection_ms,
-                    inference_time_ms=2 * TREE_EVALUATION_MS,
-                )
-            )
-        return decisions
 
     def serve(self, request, cache=None, execute: bool = False):
         """Serve one unified-API request through this predictor.

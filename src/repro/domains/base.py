@@ -176,13 +176,6 @@ class GatheredFeatureRow(_FeatureRowBase):
         )
 
 
-def _resolve_registered_domain(name: str):
-    """Unpickle helper: resolve a domain back to its registered singleton."""
-    from repro.domains.registry import get_domain
-
-    return get_domain(name)
-
-
 def _resolve_or_rebuild_domain(name: str, cls):
     """Unpickle helper tolerant of processes that lack the registration.
 
@@ -209,8 +202,9 @@ class ProblemDomain:
 
     Subclasses (or configured instances) provide four things: feature
     schemas (:attr:`known_fields` / :attr:`gathered_fields`), kernels
-    (via :meth:`register_kernel`), workloads (:meth:`collection_specs` /
-    :meth:`iter_collection`) and a collector (:meth:`make_collector`).
+    (via :meth:`register_kernel`), workloads (:meth:`collection_specs`,
+    built through :meth:`spec_matrix` / :meth:`workload_from_matrix`) and a
+    collector (:meth:`make_collector`).
     Everything else — training-set assembly, the three decision trees, the
     cost-aware selector, evaluation, caching — is shared machinery.
     """
@@ -503,10 +497,6 @@ class ProblemDomain:
         """Assemble the full workload from a spec and its built matrix."""
         return matrix
 
-    def build_workload(self, spec):
-        """Build one spec's complete workload."""
-        return self.workload_from_matrix(spec, self.spec_matrix(spec))
-
     def scaling_workload(self, num_rows: int, seed: int = 0):
         """A representative workload at a given row count.
 
@@ -515,15 +505,6 @@ class ProblemDomain:
         sizes without going through a collection profile.
         """
         raise NotImplementedError
-
-    def iter_collection(self, profile="small", base_seed: int = 7):
-        """Yield named workload records one at a time (low peak memory)."""
-        from repro.sparse.collection import MatrixRecord
-
-        for spec in self.collection_specs(profile, base_seed):
-            yield MatrixRecord(
-                name=spec.name, family=spec.family, matrix=self.build_workload(spec)
-            )
 
     # ------------------------------------------------------------------
     # Presentation

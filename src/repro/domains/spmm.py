@@ -45,7 +45,6 @@ from repro.kernels.base import (
     WAVE_REDUCTION_CYCLES,
     LaunchContext,
     SpmvKernel,
-    UnsupportedKernelError,
 )
 from repro.sparse import collection as sparse_collection
 from repro.sparse.csr import CSRMatrix
@@ -305,7 +304,6 @@ class SpmmKernel(SpmvKernel):
 
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
-        self._require_supported(workload)
         timing = self.timing(workload)
         c = workload.spmm(np.asarray(b, dtype=np.float64))
         if workload.num_rows == workload.num_cols:
@@ -448,17 +446,9 @@ class SpmmEllBlockMapped(SpmmKernel):
     #: gather-free inner loops, cheaper than the CSR kernels' per-nonzero.
     CYCLES_PER_PADDED_ELEMENT = 2.0
 
-    def _padded_width(self, workload: SpmmWorkload) -> int:
-        matrix = workload.matrix
-        if matrix.num_rows == 0 or matrix.nnz == 0:
-            return 0
-        return int(matrix.row_lengths().max())
-
     def supports(self, workload: SpmmWorkload) -> bool:
         matrix = workload.matrix
-        if matrix.num_rows == 0 or matrix.nnz == 0:
-            return True
-        padded = matrix.num_rows * float(matrix.row_lengths().max())
+        padded = matrix.num_rows * float(matrix.max_row_length)
         return padded <= self.MAX_SUPPORTED_PADDING * matrix.nnz
 
     def preprocessing_time_ms(self, workload: SpmmWorkload) -> float:
@@ -471,7 +461,7 @@ class SpmmEllBlockMapped(SpmmKernel):
         from repro.gpu.memory import memory_time_ms
 
         matrix = workload.matrix
-        padded_slots = matrix.num_rows * max(self._padded_width(workload), 1)
+        padded_slots = matrix.num_rows * max(matrix.max_row_length, 1)
         bytes_moved = (
             matrix.nnz * CSR_NNZ_BYTES + padded_slots * (VALUE_BYTES + INDEX_BYTES)
         )
@@ -481,7 +471,7 @@ class SpmmEllBlockMapped(SpmmKernel):
         matrix = workload.matrix
         n = workload.num_vectors
         simd = self.device.simd_width
-        width = context.max_row_length
+        width = matrix.max_row_length
         lanes = matrix.num_rows * n
         num_waves = max(1, int(np.ceil(lanes / simd)))
         uniform_cycles = width * self.CYCLES_PER_PADDED_ELEMENT + ROW_OVERHEAD_CYCLES
@@ -499,13 +489,6 @@ class SpmmEllBlockMapped(SpmmKernel):
         )
         wave_cycles = np.full(num_waves, uniform_cycles, dtype=np.float64)
         return self._spec(wave_cycles, bytes_moved)
-
-    def timing(self, workload: SpmmWorkload, context=None):
-        if not self.supports(workload):
-            raise UnsupportedKernelError(
-                f"{self.name}: padding ratio too large for this workload"
-            )
-        return super().timing(workload, context)
 
 
 # ----------------------------------------------------------------------
@@ -608,29 +591,6 @@ class SpmmDomain(ProblemDomain):
             rng=seed,
         )
         return SpmmWorkload(matrix=matrix, num_vectors=self.scaling_num_vectors)
-
-    def iter_collection(self, profile="small", base_seed: int = 7):
-        """Yield workload records, building each matrix recipe only once.
-
-        Consecutive specs differing only in ``num_vectors`` share the same
-        underlying matrix (generation dominates benchmarking for the largest
-        profiles); the workloads merely wrap it with different B widths, so
-        peak memory stays at a single matrix as in the base implementation.
-        """
-        from repro.sparse.collection import MatrixRecord
-
-        previous_recipe = None
-        matrix = None
-        for spec in self.collection_specs(profile, base_seed):
-            recipe = (spec.builder, spec.params, spec.seed)
-            if recipe != previous_recipe:
-                matrix = self.spec_matrix(spec)
-                previous_recipe = recipe
-            yield MatrixRecord(
-                name=spec.name,
-                family=spec.family,
-                matrix=self.workload_from_matrix(spec, matrix),
-            )
 
 
 #: The registered ``"spmm"`` domain singleton.

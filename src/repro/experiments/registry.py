@@ -210,7 +210,6 @@ class ExperimentContext:
         engine=None,
         device: DeviceSpec = MI100,
         model_registry=None,
-        corpus=None,
     ):
         self.domain = get_domain(domain)
         self.profile = profile
@@ -222,10 +221,8 @@ class ExperimentContext:
             if not isinstance(model_registry, ModelRegistry):
                 model_registry = ModelRegistry(model_registry)
         self.model_registry = model_registry
-        self.corpus = corpus
         self._sweep = None
         self._models = None
-        self._corpus_records = {}
 
     def __repr__(self) -> str:
         return (
@@ -277,95 +274,6 @@ class ExperimentContext:
                 return self._models
         self._models = self.sweep().models
         return self._models
-
-    # ------------------------------------------------------------------
-    # Ingested corpora
-    # ------------------------------------------------------------------
-    def corpus_requests(self, options=None, iterations: int = 1) -> list:
-        """The corpus as unified :class:`~repro.serving.ServeRequest` objects.
-
-        One request per discovered source, carrying the validated workload
-        options — the same objects the serving daemon and ``repro serve``
-        consume, so an experiment suite and a deployed service can never
-        disagree about how a corpus is interpreted.
-        """
-        if self.corpus is None:
-            raise ValueError(
-                "this ExperimentContext has no corpus; pass "
-                "ExperimentContext(corpus=<dir-or-manifest>)"
-            )
-        from repro.pipeline.sources import discover_sources
-        from repro.serving.requests import requests_from_sources
-
-        options = self.domain.validate_serving_options(options)
-        return requests_from_sources(
-            discover_sources(self.corpus), iterations=iterations, options=options
-        )
-
-    def corpus_records(self, options=None) -> list:
-        """Workload records ingested from the context's raw-matrix corpus.
-
-        ``corpus`` (constructor argument) is anything
-        :func:`repro.pipeline.sources.discover_sources` understands — a
-        directory of ``.mtx``/``.mtx.gz``/``.npz`` files, a manifest, a
-        single file or a ``recipe:`` spec.  Parsed matrices are served from
-        the engine's content-addressed ingest cache tier when the context
-        has a caching engine.  Records are memoized per option set, so one
-        suite run ingests the corpus once however many experiments ask.
-        """
-        if self.corpus is None:
-            raise ValueError(
-                "this ExperimentContext has no corpus; pass "
-                "ExperimentContext(corpus=<dir-or-manifest>)"
-            )
-        memo_key = tuple(sorted((options or {}).items()))
-        if memo_key not in self._corpus_records:
-            from repro.serving.ingest import ingest_records
-
-            cache_dir = self.engine.cache_dir if self.engine is not None else None
-            self._corpus_records[memo_key] = ingest_records(
-                self.corpus,
-                domain=self.domain,
-                cache_dir=cache_dir,
-                options=options,
-            )
-        return self._corpus_records[memo_key]
-
-    def corpus_suite(self, options=None):
-        """Benchmark + featurize the ingested corpus with the suite machinery.
-
-        This is how experiments consume ingested corpora: the returned
-        :class:`~repro.core.benchmarking.BenchmarkSuite` has exactly the
-        shape the sweep produces for synthetic profiles, with every feature
-        extracted through the shared :class:`~repro.pipeline.FeaturePipeline`.
-        ``options`` are domain-specific workload parameters forwarded to
-        :meth:`corpus_records` (e.g. SpMM's ``num_vectors``).
-        """
-        from repro.core.benchmarking import run_benchmark_suite
-
-        return run_benchmark_suite(
-            self.corpus_records(options=options),
-            device=self.device,
-            domain=self.domain,
-        )
-
-    def corpus_feedback(self, models=None, options=None, iterations: int = 1):
-        """Measured serving feedback over the ingested corpus.
-
-        Re-benchmarks the corpus on every kernel (through
-        :meth:`corpus_suite`, so the ingest and engine caches apply) and
-        scores ``models`` — the context's own registry-first models when
-        omitted — against the oracle.  The returned
-        :class:`~repro.serving.feedback.FeedbackResult` is what
-        ``repro serve --measure`` writes and ``repro promote`` consumes.
-        """
-        from repro.serving.feedback import measure_feedback
-
-        if models is None:
-            models = self.models()
-        return measure_feedback(
-            models, self.corpus_suite(options=options), iterations=iterations
-        )
 
 
 def run_experiment(experiment, context: ExperimentContext):

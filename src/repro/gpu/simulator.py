@@ -21,10 +21,12 @@ kernels issue many small transactions and do not reach peak), and
 ``serial_cycles`` models device-wide serialized resources such as the global
 atomic unit that COO segmented reductions funnel through.
 
-Launches can be simulated one at a time (:func:`simulate_launch`) or as a
-batch (:func:`simulate_launch_batch`).  Kernels describe a launch as a
-:class:`LaunchSpec` so the two paths consume the *same* cycle arrays and are
-bit-identical by construction.
+Kernels describe a launch as a :class:`LaunchSpec` and time it with
+:func:`simulate_spec`; :func:`simulate_launch` takes the same fields as
+arguments.  Each launch runs exactly three reductions over its own cycle
+array (min for validation, max, and the sum or weighted sum), through
+``ndarray`` methods: NumPy's pairwise summation and a fused segment sum over
+many launches round differently, so launches are never reduced together.
 
 A spec may be *weighted*: entry ``i`` of ``wavefront_cycles`` then stands for
 ``wave_counts[i]`` identical wavefronts, so a kernel whose cost depends only
@@ -210,25 +212,6 @@ def _finalize(device: DeviceSpec, spec: LaunchSpec, max_cycles: float) -> Launch
 def simulate_spec(device: DeviceSpec, spec: LaunchSpec) -> LaunchResult:
     """Compute the time of one kernel launch described by a spec."""
     return _finalize(device, spec, _validate_spec(spec))
-
-
-def simulate_launch_batch(device: DeviceSpec, specs) -> list:
-    """Simulate many launches on one device.
-
-    Bit-identical to the scalar path: each launch runs exactly three
-    reductions over its own cycle array (min for validation, max, sum or
-    weighted sum), so the batch costs ``O(total cycles) + O(len(specs))``.
-    The sums deliberately run per-array through ``ndarray.sum`` rather than
-    one fused segment reduction over a concatenation: NumPy's pairwise
-    summation and a sequential segment sum round differently, so fusing
-    would *not* be bit-identical to :func:`simulate_launch`.
-    """
-    specs = list(specs)
-    maxima = [_validate_spec(spec) for spec in specs]
-    return [
-        _finalize(device, spec, max_cycles)
-        for spec, max_cycles in zip(specs, maxima)
-    ]
 
 
 def simulate_launch(

@@ -32,7 +32,6 @@ from repro.gpu.simulator import (
     as_wavefront_cycles,
     exact_weighted_sum,
     group_reduce_max,
-    simulate_launch_batch,
     simulate_spec,
 )
 from repro.sparse.csr import CSRMatrix
@@ -189,14 +188,6 @@ class LaunchContext:
             self._occupied_rows = int(np.count_nonzero(self.row_lengths))
         return self._occupied_rows
 
-    @property
-    def max_row_length(self) -> int:
-        """Longest row (0 for empty matrices)."""
-        matrix = self.matrix
-        if matrix.num_rows == 0 or matrix.nnz == 0:
-            return 0
-        return int(self.row_lengths.max())
-
 
 @dataclass(frozen=True)
 class KernelTiming:
@@ -278,15 +269,19 @@ class SpmvKernel(abc.ABC):
         """Translate the matrix structure into this kernel's launch spec.
 
         The spec is the single source of truth for the kernel's cycle model:
-        the scalar path (:meth:`timing`) and the batched path
-        (:func:`batch_timings`) both simulate exactly this spec, which is
-        what makes them bit-identical by construction.
+        :meth:`timing` and :func:`batch_timings` both simulate exactly this
+        spec, which is what makes them bit-identical by construction.
         """
 
-    def _iteration_launch(self, matrix: CSRMatrix, context=None) -> LaunchResult:
-        """Simulate one SpMV iteration and return the launch result."""
-        context = LaunchContext.of(matrix, context)
-        return simulate_spec(self.device, self._launch_spec(matrix, context))
+    def _supported_timing(self, matrix: CSRMatrix, context: LaunchContext) -> KernelTiming:
+        """Timing of a workload the caller has checked :meth:`supports` for."""
+        launch = simulate_spec(self.device, self._launch_spec(matrix, context))
+        return KernelTiming(
+            kernel=self.name,
+            preprocessing_ms=self.preprocessing_time_ms(matrix),
+            iteration_ms=launch.total_ms,
+            iteration_detail=launch,
+        )
 
     def timing(self, matrix: CSRMatrix, context=None) -> KernelTiming:
         """Preprocessing plus per-iteration timing for ``matrix``.
@@ -295,13 +290,7 @@ class SpmvKernel(abc.ABC):
         measuring the same workload.
         """
         self._require_supported(matrix)
-        launch = self._iteration_launch(matrix, context)
-        return KernelTiming(
-            kernel=self.name,
-            preprocessing_ms=self.preprocessing_time_ms(matrix),
-            iteration_ms=launch.total_ms,
-            iteration_detail=launch,
-        )
+        return self._supported_timing(matrix, LaunchContext.of(matrix, context))
 
     # ------------------------------------------------------------------
     # Execution
@@ -321,7 +310,6 @@ class SpmvKernel(abc.ABC):
         """
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
-        self._require_supported(matrix)
         timing = self.timing(matrix)
         y = self._numeric_result(matrix, np.asarray(x, dtype=np.float64))
         if matrix.num_rows == matrix.num_cols:
@@ -368,39 +356,18 @@ class SpmvKernel(abc.ABC):
 
 
 def batch_timings(kernels, workload, context=None) -> dict:
-    """Timings of many kernels over one workload through the batched simulator.
+    """Timings of many kernels over one workload, sharing one context.
 
-    Builds one shared :class:`LaunchContext`, collects every supported
-    kernel's :class:`~repro.gpu.simulator.LaunchSpec` and simulates them with
-    :func:`~repro.gpu.simulator.simulate_launch_batch`.  Returns ``{kernel
-    name: KernelTiming}``; kernels that cannot process the workload are
-    absent (callers record those as unsupported).
-
-    Bit-identical to calling :meth:`SpmvKernel.timing` per kernel — both
-    paths simulate the same specs.
+    Builds one :class:`LaunchContext` and times every supported kernel
+    through it.  Returns ``{kernel name: KernelTiming}``; kernels that
+    cannot process the workload are absent (callers record those as
+    unsupported).  Equal to calling :meth:`SpmvKernel.timing` per kernel:
+    both simulate the same :class:`~repro.gpu.simulator.LaunchSpec`, each on
+    its kernel's own device.
     """
     context = LaunchContext.of(workload, context)
-    supported = []
-    specs = []
-    for kernel in kernels:
-        if not kernel.supports(workload):
-            continue
-        supported.append(kernel)
-        specs.append(kernel._launch_spec(workload, context))
-    results: list = [None] * len(specs)
-    device_groups: dict = {}
-    for index, kernel in enumerate(supported):
-        device_groups.setdefault(kernel.device, []).append(index)
-    for device, indices in device_groups.items():
-        launches = simulate_launch_batch(device, [specs[i] for i in indices])
-        for index, launch in zip(indices, launches):
-            results[index] = launch
-    timings = {}
-    for kernel, launch in zip(supported, results):
-        timings[kernel.name] = KernelTiming(
-            kernel=kernel.name,
-            preprocessing_ms=kernel.preprocessing_time_ms(workload),
-            iteration_ms=launch.total_ms,
-            iteration_detail=launch,
-        )
-    return timings
+    return {
+        kernel.name: kernel._supported_timing(workload, context)
+        for kernel in kernels
+        if kernel.supports(workload)
+    }

@@ -19,7 +19,6 @@ from repro.kernels.base import (
     ROW_OVERHEAD_CYCLES,
     LaunchContext,
     SpmvKernel,
-    UnsupportedKernelError,
 )
 from repro.sparse.csr import CSRMatrix
 from repro.sparse.ell import ELLMatrix
@@ -41,20 +40,11 @@ class EllThreadMapped(SpmvKernel):
 
     def supports(self, matrix: CSRMatrix) -> bool:
         """Refuse matrices whose padding would be astronomically wasteful."""
-        if matrix.num_rows == 0:
-            return True
-        if matrix.nnz == 0:
-            return True
-        padded = matrix.num_rows * float(matrix.row_lengths().max())
+        padded = matrix.num_rows * float(matrix.max_row_length)
         return padded <= MAX_SUPPORTED_PADDING * matrix.nnz
 
-    def _padded_width(self, matrix: CSRMatrix) -> int:
-        if matrix.num_rows == 0 or matrix.nnz == 0:
-            return 0
-        return int(matrix.row_lengths().max())
-
     def _launch_spec(self, matrix: CSRMatrix, context: LaunchContext) -> LaunchSpec:
-        width = context.max_row_length
+        width = matrix.max_row_length
         num_waves = max(1, int(np.ceil(matrix.num_rows / self.device.simd_width)))
         wave_cycles = width * CYCLES_PER_NONZERO + ROW_OVERHEAD_CYCLES
         padded_slots = matrix.num_rows * width
@@ -68,14 +58,6 @@ class EllThreadMapped(SpmvKernel):
 
     def _numeric_result(self, matrix: CSRMatrix, x: np.ndarray) -> np.ndarray:
         """Compute through the ELL layout when it is small enough to build."""
-        width = self._padded_width(matrix)
-        if matrix.num_rows * max(width, 1) <= MATERIALIZE_LIMIT:
+        if matrix.num_rows * max(matrix.max_row_length, 1) <= MATERIALIZE_LIMIT:
             return ELLMatrix.from_csr(matrix, max_padding_ratio=float("inf")).spmv(x)
         return matrix.spmv(x)
-
-    def timing(self, matrix: CSRMatrix, context=None):
-        if not self.supports(matrix):
-            raise UnsupportedKernelError(
-                f"{self.name}: padding ratio too large for this matrix"
-            )
-        return super().timing(matrix, context)

@@ -9,8 +9,8 @@ trees, select kernels at runtime for pennies):
   ones advance level by level in NumPy (:meth:`SeerModels.predict_batch`
   rides on this);
 * :mod:`repro.serving.backends` — the one serving decide call
-  (:class:`CompiledBackend`) and the recursive per-row walk it is
-  differential-tested against (:class:`RecursiveBackend`);
+  (:class:`CompiledBackend`), differential-tested against a recursive
+  per-row walk that lives with the tests;
 * :mod:`repro.serving.artifacts` — canonical ``model.json`` documents:
   byte-stable serialization of a full :class:`~repro.core.training.SeerModels`
   with eager validation on load;

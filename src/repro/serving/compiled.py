@@ -65,11 +65,6 @@ class CompiledTree:
         arrays = (self.feature, self.threshold, self.left, self.right, self.leaf_code)
         object.__setattr__(self, "nodes", tuple(array.tolist() for array in arrays))
 
-    @property
-    def num_nodes(self) -> int:
-        """Total number of nodes in the flattened tree."""
-        return int(self.feature.shape[0])
-
     def predict_codes(self, X) -> np.ndarray:
         """Class codes of every row of ``X``.
 

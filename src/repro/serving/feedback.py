@@ -192,8 +192,7 @@ def measure_feedback(
 ) -> FeedbackResult:
     """Score the serving models against the oracle over a measured corpus.
 
-    ``suite`` is the re-benchmarked corpus (every kernel measured, e.g.
-    :meth:`~repro.experiments.registry.ExperimentContext.corpus_suite` or
+    ``suite`` is the re-benchmarked corpus (every kernel measured, e.g. by
     :func:`feedback_from_corpus`); decisions are replayed through the same
     vectorized batch pass the daemon uses, at the given iteration count.
     """

@@ -2,9 +2,8 @@
 
 Every way of asking the trained selector for a kernel decision used to
 hand-roll its own input validation and output shape: ``repro predict
---batch`` parsed CSV rows, ``repro serve`` walked raw-matrix sources,
-``ExperimentContext.corpus_suite()`` built workload records and the
-evaluation harness had its own feature-row plumbing.  This module collapses
+--batch`` parsed CSV rows, ``repro serve`` walked raw-matrix sources and
+the evaluation harness had its own feature-row plumbing.  This module collapses
 those paths onto one stable pair of dataclasses:
 
 * :class:`ServeRequest` — one workload to decide on, either as a *matrix
@@ -33,7 +32,7 @@ the *same* one-line error whatever entry point it came through.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -704,8 +703,3 @@ def evaluate_requests(
             runtime_ms=runtime_ms,
         )
     return results, stats
-
-
-def replace_request(request: ServeRequest, **changes: object) -> ServeRequest:
-    """A copy of ``request`` with fields replaced (dataclass ``replace``)."""
-    return replace(request, **changes)

@@ -14,7 +14,6 @@ The moving parts, stdlib only:
 
 * :class:`ServiceConfig` — declarative, validated configuration, loadable
   from a small TOML file (``repro serve --daemon --config service.toml``);
-  a minimal TOML-subset parser backs Pythons without :mod:`tomllib`;
 * :class:`ModelHub` — hot-loads model artifacts on first use (an explicit
   ``model.json`` path and/or any ``<domain>/<profile>`` out of a
   :class:`~repro.serving.registry.ModelRegistry`) and keeps them, plus one
@@ -50,9 +49,9 @@ from __future__ import annotations
 import json
 import logging
 import os
-import socket
 import threading
 import time
+import tomllib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -104,75 +103,10 @@ class ServiceConfigError(ValueError):
 # ----------------------------------------------------------------------
 # Configuration
 # ----------------------------------------------------------------------
-def _parse_toml_minimal(text: str) -> dict:
-    """Parse the TOML subset service configs use (fallback for py<3.11).
-
-    Supports ``[table]`` headers, ``key = value`` pairs with quoted-string,
-    boolean, integer and float values, comments and blank lines — enough
-    for ``service.toml`` without any third-party dependency.  Real
-    :mod:`tomllib` is preferred when the interpreter has it.
-    """
-    data: dict = {}
-    table = data
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            name = line[1:-1].strip()
-            if not name:
-                raise ServiceConfigError(f"line {lineno}: empty table name")
-            table = data.setdefault(name, {})
-            continue
-        key, eq, value = line.partition("=")
-        key = key.strip()
-        if not eq or not key:
-            raise ServiceConfigError(
-                f"line {lineno}: expected 'key = value', got {raw.strip()!r}"
-            )
-        value = value.strip()
-        if value[:1] in ('"', "'"):
-            quote = value[0]
-            end = value.find(quote, 1)
-            if end < 0:
-                raise ServiceConfigError(
-                    f"line {lineno}: unterminated string {value!r}"
-                )
-            trailing = value[end + 1:].strip()
-            if trailing and not trailing.startswith("#"):
-                raise ServiceConfigError(
-                    f"line {lineno}: unexpected text after string: {trailing!r}"
-                )
-            table[key] = value[1:end]
-            continue
-        value = value.split("#", 1)[0].strip()
-        if value in ("true", "false"):
-            table[key] = value == "true"
-        else:
-            try:
-                table[key] = int(value)
-            except ValueError:
-                try:
-                    table[key] = float(value)
-                except ValueError:
-                    raise ServiceConfigError(
-                        f"line {lineno}: unsupported value {value!r} (the "
-                        f"minimal parser accepts strings, booleans, integers "
-                        f"and floats)"
-                    ) from None
-    return data
-
-
 def _load_toml(path: Path) -> dict:
     try:
-        import tomllib
-    except ImportError:
-        tomllib = None
-    try:
-        if tomllib is not None:
-            with open(path, "rb") as handle:
-                return tomllib.load(handle)
-        return _parse_toml_minimal(path.read_text(encoding="utf-8"))
+        with open(path, "rb") as handle:
+            return tomllib.load(handle)
     except OSError as error:
         raise ServiceConfigError(f"{path}: unreadable config ({error})") from None
     except ValueError as error:
@@ -881,7 +815,7 @@ class _Handler(BaseHTTPRequestHandler):
         with service.batcher.admit() as admission:
             try:
                 payload = self._read_json()
-            except socket.timeout:  # an alias of TimeoutError from 3.10 on
+            except TimeoutError:
                 # The rest of the body may still arrive, so the stream
                 # cannot carry another request.
                 self.close_connection = True

@@ -37,6 +37,11 @@ class DeferredValues:
     size: int
 
     @property
+    def max_row_length(self) -> int:
+        """Longest row's entry count (0 without rows or nonzeros)."""
+        return self._max_row_length
+
+    @property
     def shape(self) -> tuple:
         return (self.size,)
 
@@ -196,8 +201,8 @@ class CSRMatrix:
         accepts a :class:`DeferredValues` recipe, drawn on first access.
 
     The structure (dimensions, ``row_offsets`` and the columns) is immutable
-    after construction: :meth:`validate` derives the row lengths once and
-    every cost model and feature reads that one array.
+    after construction: :meth:`validate` derives the row lengths and their
+    maximum once, and every cost model and feature reads those.
     """
 
     def __init__(
@@ -256,6 +261,11 @@ class CSRMatrix:
         return int(self.row_offsets[-1])
 
     @property
+    def max_row_length(self) -> int:
+        """Longest row's entry count (0 without rows or nonzeros)."""
+        return self._max_row_length
+
+    @property
     def shape(self) -> tuple:
         """``(num_rows, num_cols)``."""
         return (self.num_rows, self.num_cols)
@@ -280,6 +290,7 @@ class CSRMatrix:
             raise SparseFormatError("row_offsets must be non-decreasing")
         lengths.setflags(write=False)
         self._row_lengths = lengths
+        self._max_row_length = int(lengths.max()) if lengths.shape[0] else 0
         if self._values.shape != (self.nnz,):
             raise SparseFormatError("values must hold one entry per nonzero")
         columns = self._col_indices

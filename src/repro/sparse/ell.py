@@ -102,7 +102,7 @@ class ELLMatrix:
             nonzeros (the conversion would be pathologically wasteful).
         """
         row_lengths = csr.row_lengths()
-        width = int(row_lengths.max()) if csr.num_rows else 0
+        width = csr.max_row_length
         padded = csr.num_rows * width
         if csr.nnz and padded > max_padding_ratio * csr.nnz:
             raise SparseFormatError(

@@ -141,14 +141,11 @@ def _read_entries(handle, field: str, path: Path) -> tuple:
         warnings.filterwarnings(
             "ignore", message="loadtxt: input contained no data", category=UserWarning
         )
-        # NumPy < 2 parses "1.0" as an integer with only a DeprecationWarning;
-        # as an error it rejects the entry, as int() always has.
-        warnings.simplefilter("error", DeprecationWarning)
         try:
             entries = np.loadtxt(
                 handle, dtype=np.dtype(fields), comments="%", usecols=range(len(fields)), ndmin=1
             )
-        except (ValueError, DeprecationWarning) as exc:
+        except ValueError as exc:
             raise MatrixMarketError(f"{path.name}: bad entry line: {exc}") from exc
     rows, cols = entries["row"], entries["col"]
     rows -= 1

@@ -251,11 +251,6 @@ def test_jobs_zero_uses_cpu_count():
     assert engine.jobs >= 1
 
 
-def test_run_sweep_rejects_engine_with_prebuilt_collection():
-    with pytest.raises(ValueError):
-        run_sweep(collection=[], engine=SweepEngine())
-
-
 def test_engine_from_env():
     assert engine_from_env({}) is None
     engine = engine_from_env({"SEER_JOBS": "3"})
@@ -362,6 +357,17 @@ def test_sweeps_never_draw_matrix_values(domain, tmp_path, monkeypatch):
     assert cold.stats.matrices_generated > 0
     assert warm.stats.matrices_generated == 0
     assert warm.stats.matrix_cache_hits == warm.stats.matrices_measured
+
+
+def test_uncached_spmm_sweep_generates_each_recipe_once():
+    """The ``num_vectors`` variants of one recipe share one built matrix."""
+    from repro.domains.spmm import NUM_VECTORS_GRID, SPMM
+
+    specs = SPMM.collection_specs("tiny")
+    engine = SweepEngine()
+    run_sweep(profile="tiny", domain="spmm", iteration_counts=(1,), engine=engine)
+    assert engine.stats.matrices_generated == len(specs) // len(NUM_VECTORS_GRID)
+    assert engine.stats.matrix_cache_hits == len(specs) - engine.stats.matrices_generated
 
 
 def test_spmv_sweeps_never_expand_column_runs(tmp_path, monkeypatch):

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.bench.runner import TEST_FRACTION, run_sweep
-from repro.core.training import TrainingConfig
-from repro.sparse.collection import iter_collection
 
 
 def test_sweep_result_structure(tiny_sweep):
@@ -16,17 +14,6 @@ def test_sweep_result_structure(tiny_sweep):
     assert sweep.kernel_names == sweep.suite.kernel_names
     assert len(sweep.train_report.rows) == len(sweep.train_set)
     assert len(sweep.test_report.rows) == len(sweep.test_set)
-
-
-def test_sweep_accepts_prebuilt_collection():
-    collection = list(iter_collection("tiny"))
-    sweep = run_sweep(
-        collection=collection,
-        iteration_counts=(1,),
-        config=TrainingConfig(selector_cross_fit=0),
-    )
-    assert len(sweep.suite) == len(collection)
-    assert {sample.iterations for sample in sweep.dataset} == {1}
 
 
 def test_sweep_without_rocsparse_kernel():

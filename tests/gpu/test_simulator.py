@@ -105,7 +105,7 @@ def test_group_reduce_helpers():
 
 
 # ----------------------------------------------------------------------
-# Serial (atomic-throughput) attribution and batched simulation
+# Serial (atomic-throughput) attribution and empty launches
 # ----------------------------------------------------------------------
 def test_serial_bound_launch_reports_serial():
     # COO-style segmented reduction over millions of short rows: cheap
@@ -153,43 +153,11 @@ def test_non_finite_serial_cycles_rejected(bad):
         simulate_launch(MI100, [1.0], bytes_moved=0.0, serial_cycles=bad)
 
 
-def test_batch_matches_scalar_simulation():
-    from repro.gpu.simulator import LaunchSpec, simulate_launch_batch, simulate_spec
+def test_empty_spec_costs_only_overhead():
+    from repro.gpu.simulator import LaunchSpec, simulate_spec
 
-    rng = np.random.default_rng(7)
-    specs = [
-        LaunchSpec(
-            wavefront_cycles=rng.uniform(1.0, 1e6, size=rng.integers(1, 500)),
-            bytes_moved=float(rng.uniform(0.0, 1e9)),
-            label=f"kernel-{i}",
-            occupancy_factor=float(rng.uniform(0.1, 1.0)),
-            extra_launches=int(rng.integers(0, 3)),
-            bandwidth_utilization=float(rng.uniform(0.5, 1.0)),
-            serial_cycles=float(rng.uniform(0.0, 1e7)),
-        )
-        for i in range(20)
-    ]
-    batched = simulate_launch_batch(MI100, specs)
-    for spec, launch in zip(specs, batched):
-        assert launch == simulate_spec(MI100, spec)
-
-
-def test_batch_rejects_any_invalid_spec():
-    from repro.gpu.simulator import LaunchSpec, simulate_launch_batch
-
-    good = LaunchSpec(wavefront_cycles=np.array([1.0]), bytes_moved=0.0)
-    bad = LaunchSpec(
-        wavefront_cycles=np.array([np.nan]), bytes_moved=0.0, label="broken"
-    )
-    with pytest.raises(ValueError, match="broken"):
-        simulate_launch_batch(MI100, [good, bad])
-
-
-def test_batch_of_empty_launches():
-    from repro.gpu.simulator import LaunchSpec, simulate_launch_batch
-
-    specs = [LaunchSpec(wavefront_cycles=np.array([]), bytes_moved=0.0)]
-    (launch,) = simulate_launch_batch(MI100, specs)
+    spec = LaunchSpec(wavefront_cycles=np.array([]), bytes_moved=0.0)
+    launch = simulate_spec(MI100, spec)
     assert launch.total_ms == pytest.approx(MI100.launch_overhead_ms)
     assert launch.num_wavefronts == 0
 
@@ -215,7 +183,7 @@ def _weighted_spec(cycles, counts, label="CSR,XX"):
 
 
 def test_weighted_spec_matches_its_expansion():
-    from repro.gpu.simulator import LaunchSpec, simulate_launch_batch, simulate_spec
+    from repro.gpu.simulator import LaunchSpec, simulate_spec
 
     cycles = np.array([3.0, 10.0, 64.0, 1e6])
     counts = np.array([5, 1, 130, 7], dtype=np.int64)
@@ -226,7 +194,6 @@ def test_weighted_spec_matches_its_expansion():
     result = simulate_spec(MI100, weighted)
     assert result == simulate_spec(MI100, expanded)
     assert result.num_wavefronts == int(counts.sum())
-    assert simulate_launch_batch(MI100, [weighted]) == [result]
 
 
 def test_empty_weighted_spec_costs_only_overhead():
@@ -249,13 +216,11 @@ def test_empty_weighted_spec_costs_only_overhead():
     ],
 )
 def test_invalid_wave_counts_rejected_naming_the_kernel(cycles, counts, message):
-    from repro.gpu.simulator import simulate_launch_batch, simulate_spec
+    from repro.gpu.simulator import simulate_spec
 
     spec = _weighted_spec(cycles, counts)
     with pytest.raises(ValueError, match=rf"^CSR,XX: .*{message}"):
         simulate_spec(MI100, spec)
-    with pytest.raises(ValueError, match=rf"^CSR,XX: .*{message}"):
-        simulate_launch_batch(MI100, [_weighted_spec([1.0], [1]), spec])
 
 
 def test_weighted_sum_bound_is_exclusive_at_2_pow_53():

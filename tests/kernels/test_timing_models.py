@@ -7,6 +7,7 @@ that keep the simulator producing the paper's dynamics.
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.domains.spmv import SPMV
@@ -135,6 +136,34 @@ def test_ell_refuses_pathological_padding():
 
     with pytest.raises(UnsupportedKernelError):
         ell.timing(matrix)
+
+
+@pytest.mark.parametrize("domain_name, label", [("spmv", "ELL,TM"), ("spmm", "ELL,BM")])
+def test_ell_timing_checks_support_once(monkeypatch, domain_name, label):
+    from repro.domains import get_domain
+    from repro.kernels.base import UnsupportedKernelError
+
+    domain = get_domain(domain_name)
+    kernel = domain.make_kernel(label)
+    real_supports = type(kernel).supports
+    calls = []
+
+    def counting_supports(self, workload):
+        calls.append(workload)
+        return real_supports(self, workload)
+
+    monkeypatch.setattr(type(kernel), "supports", counting_supports)
+    supported = domain.serving_workload(gen.regular_matrix(256, 256, 8, rng=1))
+    lengths = np.zeros(10_000, dtype=np.int64)
+    lengths[0] = 5_000  # one hub row: padding far past both kernels' limits
+    refused = domain.serving_workload(gen.matrix_from_row_lengths(lengths, 5_000, rng=2))
+
+    kernel.timing(supported)
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(UnsupportedKernelError):
+        kernel.timing(refused)
+    assert len(calls) == 1
 
 
 def test_launch_overhead_floors_small_matrices():

@@ -2,8 +2,8 @@
 
 The serving core decides kernels through one ``predict_batch`` interface,
 :class:`CompiledBackend`; the recursive per-row reference
-(:class:`RecursiveBackend`) serves nothing and exists to be compared
-against.  The two must agree *element-wise* on every input — no tolerance —
+(:class:`RecursiveBackend`, test-local in ``recursive_backend.py``) serves
+nothing and exists to be compared against.  The two must agree *element-wise* on every input — no tolerance —
 on both sides of the compiled tree's walk/vectorize crossover
 (:data:`~repro.serving.compiled.WALK_MAX_ROWS`).  These tests pin that
 contract on real trained models, through ``evaluate_requests`` and through
@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from repro.core.training import TrainingConfig, train_seer_models
-from repro.serving.backends import CompiledBackend, RecursiveBackend
+from recursive_backend import RecursiveBackend
+from repro.serving.backends import CompiledBackend
 from repro.serving.compiled import WALK_MAX_ROWS
 from repro.serving.registry import ModelRegistry
 from repro.serving.requests import ServeRequest, evaluate_requests

@@ -180,38 +180,17 @@ def test_serve_a_recipe_spec_directly(tiny_sweep):
     assert result.decisions[0].known.rows == 256
 
 
-def test_experiment_context_consumes_ingested_corpora(corpus):
-    from repro.experiments.registry import ExperimentContext
+def test_ingested_corpora_feed_the_benchmark_suite(corpus):
+    from repro.core.benchmarking import run_benchmark_suite
 
-    context = ExperimentContext(domain="spmv", corpus=corpus)
-    records = context.corpus_records()
+    records = ingest_records(corpus, domain="spmv")
     assert [r.name for r in records] == ["band", "pl", "reg"]
-    assert context.corpus_records() is records  # ingested once per suite run
-    suite = context.corpus_suite()
+    suite = run_benchmark_suite(records, domain="spmv")
     assert suite.names() == ["band", "pl", "reg"]
     assert suite.domain_name == "spmv"
     measurement = suite.get("pl")
     assert measurement.known.rows == 200
     assert measurement.gathered.collection_time_ms > 0.0
-
-
-def test_experiment_context_memoizes_per_option_set(corpus, monkeypatch):
-    from repro.experiments.registry import ExperimentContext
-
-    import repro.serving.ingest as ingest_module
-
-    calls = []
-    real = ingest_module.load_source
-    monkeypatch.setattr(
-        ingest_module, "load_source", lambda s: calls.append(1) or real(s)
-    )
-    context = ExperimentContext(domain="spmm", corpus=corpus)
-    options = {"num_vectors": 8}
-    first = context.corpus_records(options=options)
-    assert context.corpus_records(options=options) is first  # no re-ingest
-    assert len(calls) == 3
-    context.corpus_records(options={"num_vectors": 16})  # distinct option set
-    assert len(calls) == 6
 
 
 def test_fractional_num_vectors_rejected(tiny_sweep_spmm, corpus):
@@ -240,12 +219,14 @@ def test_ingest_cache_expands_user_home(monkeypatch, tmp_path):
     assert str(cache.root).startswith(str(tmp_path))
 
 
-def test_corpus_suite_forwards_workload_options(corpus):
-    from repro.experiments.registry import ExperimentContext
+def test_corpus_suite_forwards_workload_options(tiny_sweep_spmm, corpus):
+    from repro.serving.feedback import feedback_from_corpus
 
-    context = ExperimentContext(domain="spmm", corpus=corpus)
-    suite = context.corpus_suite(options={"num_vectors": 16})
-    assert all(m.known.num_vectors == 16 for m in suite)
+    result = feedback_from_corpus(
+        tiny_sweep_spmm.models, corpus, domain="spmm", options={"num_vectors": 16}
+    )
+    column = result.dataset.known_feature_names.index("num_vectors")
+    assert [sample.known_vector[column] for sample in result.dataset.samples] == [16.0] * 3
 
 
 def test_binary_manifest_rejected(tmp_path):
@@ -255,13 +236,6 @@ def test_binary_manifest_rejected(tmp_path):
     binary.write_bytes(b"\xff\xfe\x00garbage")
     with pytest.raises(MatrixSourceError, match="not a readable manifest"):
         discover_sources(binary)
-
-
-def test_experiment_context_without_corpus_raises():
-    from repro.experiments.registry import ExperimentContext
-
-    with pytest.raises(ValueError, match="no corpus"):
-        ExperimentContext(domain="spmv").corpus_records()
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,6 @@ from repro.serving.service import (
     ServiceConfigError,
     ServingService,
     _Handler,
-    _parse_toml_minimal,
 )
 from repro.sparse.generators import banded_matrix, power_law_matrix
 from repro.sparse.io import write_matrix_market
@@ -83,41 +82,21 @@ def _post(url: str, payload: dict) -> tuple:
 # ----------------------------------------------------------------------
 # Configuration
 # ----------------------------------------------------------------------
-def test_minimal_toml_parser_covers_the_service_subset():
-    parsed = _parse_toml_minimal(
-        "\n".join(
-            [
-                "# a service config",
-                "[service]",
-                'model = "models/model.json"  # trailing comment',
-                "port = 8091",
-                "max_wait_ms = 2.5",
-                "execute = false",
-                'host = "0.0.0.0"',
-                "[options]",
-                "num_vectors = 8",
-            ]
-        )
-    )
-    assert parsed == {
-        "service": {
-            "model": "models/model.json",
-            "port": 8091,
-            "max_wait_ms": 2.5,
-            "execute": False,
-            "host": "0.0.0.0",
-        },
-        "options": {"num_vectors": 8},
-    }
+def test_config_from_toml_on_a_missing_file_is_a_config_error(tmp_path):
+    path = tmp_path / "absent.toml"
+    with pytest.raises(ServiceConfigError, match=r"absent\.toml: unreadable config"):
+        ServiceConfig.from_toml(path)
 
 
-def test_minimal_toml_parser_rejects_garbage():
-    with pytest.raises(ServiceConfigError, match="line 1: expected 'key = value'"):
-        _parse_toml_minimal("not toml at all")
-    with pytest.raises(ServiceConfigError, match="unterminated string"):
-        _parse_toml_minimal('model = "half')
-    with pytest.raises(ServiceConfigError, match="unsupported value"):
-        _parse_toml_minimal("port = [8091]")
+@pytest.mark.parametrize(
+    "text", ["not toml at all", 'model = "half', "[service]\nport = = 8091"]
+)
+def test_config_from_toml_on_malformed_toml_names_the_path(tmp_path, text):
+    path = tmp_path / "broken.toml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ServiceConfigError) as excinfo:
+        ServiceConfig.from_toml(path)
+    assert str(excinfo.value).startswith(f"{path}: ")
 
 
 def test_config_requires_a_model_origin():

@@ -85,32 +85,6 @@ def test_sweep_reports_use_the_vectorized_path_unchanged(tiny_sweep):
         assert _report_fingerprint(report) == _report_fingerprint(scalar)
 
 
-def test_predict_batch_from_features_matches_scalar_flow(tiny_sweep):
-    predictor = tiny_sweep.predictor
-    known_rows = []
-    gathered_rows = []
-    names = []
-    for measurement in tiny_sweep.suite:
-        known_rows.append(measurement.known.with_iterations(7))
-        gathered_rows.append(measurement.gathered)
-        names.append(measurement.name)
-    batch = predictor.predict_batch_from_features(known_rows, gathered_rows, names)
-    assert len(batch) == len(known_rows)
-    for known, gathered, name, decision in zip(
-        known_rows, gathered_rows, names, batch
-    ):
-        scalar = predictor.predict_from_features(
-            known, gathered, gathered.collection_time_ms, name=name
-        )
-        assert decision.matrix_name == scalar.matrix_name
-        assert decision.selector_choice == scalar.selector_choice
-        assert decision.kernel_name == scalar.kernel_name
-        assert decision.collection_time_ms == scalar.collection_time_ms
-        assert decision.inference_time_ms == scalar.inference_time_ms
-        assert decision.known == scalar.known
-        assert decision.gathered.as_dict() == scalar.gathered.as_dict()
-
-
 def test_reloaded_artifact_reproduces_the_evaluation_report(tiny_sweep, tmp_path):
     path = save_models(tiny_sweep.models, tmp_path / "model.json", domain="spmv")
     reloaded = load_models(path, domain="spmv")

@@ -95,10 +95,20 @@ def test_row_lengths_are_read_only_and_derived_once(monkeypatch):
         row_lengths[0] = 5
     assert LaunchContext(matrix).row_lengths is row_lengths
     ell = EllThreadMapped()
-    assert ell.supports(matrix) and ell._padded_width(matrix) == 12
+    assert ell.supports(matrix) and matrix.max_row_length == 12
     domain = get_domain("spmv")
     measure_matrix("m", matrix, domain.default_kernels(), domain.make_pipeline())
     assert len(calls) == 1
+
+
+def test_max_row_length_is_zero_without_rows_or_nonzeros():
+    empty = CSRMatrix(0, 5, np.zeros(1, dtype=np.int64), [], [])
+    hollow = CSRMatrix(4, 5, np.zeros(5, dtype=np.int64), [], [])
+    assert empty.max_row_length == 0
+    assert hollow.max_row_length == 0
+    dense = CSRMatrix.from_dense(_dense_example())
+    assert dense.max_row_length == int(dense.row_lengths().max())
+    assert type(dense.max_row_length) is int
 
 
 def test_transpose_matches_dense_transpose():

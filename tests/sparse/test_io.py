@@ -164,8 +164,8 @@ def test_entry_line_missing_value_rejected(tmp_path):
 #: Files rejected with a ``MatrixMarketError`` naming them, and its message.
 #: The per-line reader let the first two escape as a bare ``OverflowError``
 #: (an index past int64) and ``MemoryError`` (it preallocated the declared
-#: 2e11 entries); NumPy < 2's ``loadtxt`` accepts the third's float index
-#: with only a ``DeprecationWarning``; 2e11 declared rows raised a bare
+#: 2e11 entries); ``loadtxt`` (NumPy >= 2, the package's floor) refuses the
+#: third's float index as an int64; 2e11 declared rows raised a bare
 #: ``MemoryError`` from the ``row_offsets`` allocation.
 REJECTED_FILES = {
     "overflow.mtx": (
