@@ -1,12 +1,15 @@
 """Concurrency rules: the threaded-daemon invariants (CONC0xx).
 
-The serving daemon (:mod:`repro.serving.service`) is the one genuinely
-multithreaded subsystem: HTTP handler threads, the admission-batcher
-worker and signal-driven shutdown all touch shared state.  Its safety
-story is simple and must stay simple — every shared attribute is guarded
-by one lock, nothing slow happens while holding a lock, and every
-condition wait sits in a predicate loop.  These rules keep each of those
-properties checkable per commit:
+The serving daemon (:mod:`repro.serving.service`) is the subsystem whose
+threads share long-lived state: HTTP handler threads, the admission-batcher
+worker and signal-driven shutdown all touch it.  Two other places start
+threads that share next to nothing: the load generator's clients (each
+merges its results under one lock when it finishes) and the sweep engine's
+matrix loader (each read hands one matrix back through a future).  The
+daemon's safety story is simple and must stay simple — every shared
+attribute is guarded by one lock, nothing slow happens while holding a
+lock, and every condition wait sits in a predicate loop.  These rules keep
+each of those properties checkable per commit:
 
 * ``CONC001`` — an attribute mutated both inside and outside ``with
   self._lock`` blocks of the same class (a data race or a torn invariant);

@@ -44,6 +44,16 @@ engine makes the artifact cheap to come by twice:
   (absent, truncated, failing its CRC-32, malformed) is a miss: the matrix
   is regenerated and the slot overwritten.
 
+* **Pipelined tier reads.**  With a matrix tier, each measurement chunk (the
+  whole sweep in-process, one chunk per worker otherwise) runs one loader
+  thread that reads the next distinct matrix while the current one is
+  measured.  It reads exactly one matrix ahead, so at most two are resident.
+  Generation and tier writes stay on the measuring thread, and the next
+  read is submitted only after the current matrix is written, so a key that
+  repeats later in the chunk is read back like any other hit.  The counters,
+  the measurement order and the miss handling are those of reading every
+  matrix in turn; the loader is joined before the chunk returns or raises.
+
 The engine is domain-aware: every cache key embeds the active
 :class:`~repro.domains.ProblemDomain`'s name, workers resolve the domain by
 name to rebuild workloads, and the per-domain feature schemas drive the
@@ -66,6 +76,7 @@ import logging
 import os
 import pickle
 import tempfile
+from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -82,6 +93,7 @@ from repro.core.dataset import DEFAULT_ITERATION_COUNTS
 from repro.core.training import TrainingConfig
 from repro.domains import get_domain, spec_payload
 from repro.gpu.device import MI100, DeviceSpec
+from repro.kernels.base import LaunchContext
 from repro.sparse import io as sparse_io
 from repro.sparse.collection import CollectionProfile
 from repro.sparse.coo import SparseFormatError
@@ -293,43 +305,65 @@ def _measure_spec_chunk(
     workers handle both.  Kernels and the feature collector are rebuilt per
     chunk; the simulated timings are deterministic, so where a measurement is
     computed does not change its value.  With a ``matrix_dir``, built
-    matrices are served from and stored into the matrix artifact tier.
+    matrices are served from and stored into the matrix artifact tier, and
+    one loader thread reads the next distinct matrix while the current one
+    is measured.
 
     Consecutive specs with the same :func:`matrix_key` (SpMM's ``num_vectors``
-    variants of one recipe) share one built matrix; each reuse counts as a
+    variants of one recipe) share one built matrix and one
+    :class:`~repro.kernels.base.LaunchContext`; each reuse counts as a
     matrix cache hit, as the tier load it replaces would.
 
     Returns ``(measurements, matrices_generated, matrix_cache_hits)``.
     """
+    # Imported here: a process that never reads a matrix tier (the serving
+    # daemon) does not load the thread-pool module.
+    from concurrent.futures import ThreadPoolExecutor
+
     domain = get_domain(domain)
     kernels = [domain.make_kernel(label, device) for label in kernel_labels]
     pipeline = domain.make_pipeline(device)
     matrix_dir = Path(matrix_dir) if matrix_dir is not None else None
+    keys = [matrix_key(spec, domain) for spec in specs]
+    if matrix_dir is not None:
+        paths = [matrix_dir / (key + sparse_io.TIER_SUFFIX) for key in keys]
     measurements = []
     generated = 0
     matrix_hits = 0
-    matrix = None
-    previous_key = None
-    for spec in specs:
-        key = matrix_key(spec, domain)
-        if key == previous_key:
-            matrix_hits += 1
-        else:
-            previous_key = key
-            matrix = None
-            artifact_path = None
-            if matrix_dir is not None:
-                artifact_path = matrix_dir / (key + sparse_io.TIER_SUFFIX)
-                matrix = _load_matrix_artifact(artifact_path)
-            if matrix is None:
-                matrix = domain.spec_matrix(spec)
-                generated += 1
-                if artifact_path is not None:
-                    atomic_write_bytes(artifact_path, sparse_io.csr_to_tier_bytes(matrix))
-            else:
+    pool = (
+        nullcontext()
+        if matrix_dir is None
+        else ThreadPoolExecutor(max_workers=1, thread_name_prefix="matrix-loader")
+    )
+    # Leaving the block joins the loader thread, on return and raise alike.
+    with pool as loader:
+        if loader is not None and specs:
+            prefetched = loader.submit(_load_matrix_artifact, paths[0])
+        for index, spec in enumerate(specs):
+            if index and keys[index] == keys[index - 1]:
                 matrix_hits += 1
-        workload = domain.workload_from_matrix(spec, matrix)
-        measurements.append(measure_matrix(spec.name, workload, kernels, pipeline))
+            else:
+                # Drop the previous matrix first: at most two are resident.
+                matrix = context = workload = None
+                if loader is not None:
+                    matrix, prefetched = prefetched.result(), None
+                if matrix is None:
+                    matrix = domain.spec_matrix(spec)
+                    generated += 1
+                    if loader is not None:
+                        atomic_write_bytes(paths[index], sparse_io.csr_to_tier_bytes(matrix))
+                else:
+                    matrix_hits += 1
+                # Prefetch the next distinct key only after this key's
+                # write, so a key that repeats later is read back from disk.
+                following = index + 1
+                while following < len(keys) and keys[following] == keys[index]:
+                    following += 1
+                if loader is not None and following < len(keys):
+                    prefetched = loader.submit(_load_matrix_artifact, paths[following])
+                context = LaunchContext(matrix)
+            workload = domain.workload_from_matrix(spec, matrix)
+            measurements.append(measure_matrix(spec.name, workload, kernels, pipeline, context))
     return measurements, generated, matrix_hits
 
 

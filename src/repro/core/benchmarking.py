@@ -191,20 +191,21 @@ class BenchmarkSuite:
         )
 
 
-def measure_matrix(name, workload, kernels, pipeline) -> MatrixMeasurement:
+def measure_matrix(name, workload, kernels, pipeline, context=None) -> MatrixMeasurement:
     """Benchmark one workload on every kernel and collect its features.
 
     ``pipeline`` is the domain's :class:`~repro.pipeline.FeaturePipeline`.
 
     Every kernel and the feature collector share one
-    :class:`~repro.kernels.base.LaunchContext`, and the kernels are timed
-    through :func:`~repro.kernels.base.batch_timings`; the result is
-    bit-identical to timing each kernel independently (both evaluate the
-    same :class:`~repro.gpu.simulator.LaunchSpec` objects).
+    :class:`~repro.kernels.base.LaunchContext` (``context``, or a fresh one
+    for the workload's matrix), and the kernels are timed through
+    :func:`~repro.kernels.base.batch_timings`; the result is bit-identical
+    to timing each kernel independently (both evaluate the same
+    :class:`~repro.gpu.simulator.LaunchSpec` objects).
     """
     from repro.kernels.base import LaunchContext, batch_timings
 
-    context = LaunchContext.of(workload)
+    context = LaunchContext.of(workload, context)
     timings = batch_timings(kernels, workload, context=context)
     runtime = {}
     preprocessing = {}

@@ -232,10 +232,15 @@ class SpmmFeatureCollector:
 
         ``context`` optionally shares a
         :class:`~repro.kernels.base.LaunchContext` with the timing kernels.
+        The features depend on the matrix alone, so they are computed once
+        per context: a sweep shares one across a recipe's ``num_vectors``
+        variants.
         """
+        context = LaunchContext.of(workload, context)
         time_ms, launch = self._simulate(workload)
-        features = spmm_gathered_features(
-            workload, context=context
+        features = context.shared(
+            "spmm_gathered_features",
+            lambda: spmm_gathered_features(workload, context=context),
         ).with_collection_time(time_ms)
         return SpmmCollectionResult(
             features=features, collection_time_ms=time_ms, launch=launch

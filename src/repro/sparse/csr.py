@@ -121,7 +121,9 @@ class RowRuns:
     :mod:`repro.sparse.generators` draws, in ascending order.  Seer's
     features and every SpMV cost model read only ``row_offsets``, so most
     generated matrices never expand the recipe: it costs two integers per
-    row instead of one per nonzero.
+    row instead of one per nonzero.  Generators build int64 arrays; a
+    loaded cache-tier container keeps its int32 arrays (stored only when
+    ``num_cols`` fits int32) as views of the read buffer.
     """
 
     starts: np.ndarray
@@ -140,6 +142,8 @@ class RowRuns:
             return np.empty(0, dtype=np.int64)
         lengths = np.diff(row_offsets)
         # ceil((num_cols - starts) / strides) run entries stay below num_cols.
+        # Runs are int32 only when num_cols fits int32, so starts - num_cols
+        # cannot overflow; every per-nonzero product below is int64.
         fits = -((self.starts - num_cols) // self.strides)
         tail = np.maximum(lengths - fits, 0)
         cols = np.arange(nnz, dtype=np.int64)
@@ -178,7 +182,13 @@ class RowRuns:
         if self.strides.min() < 1:
             raise SparseFormatError("column run strides must be positive")
         # (length - 1) * stride < num_cols, written so it cannot overflow.
-        if np.any(row_lengths - 1 > (num_cols - 1) // self.strides):
+        # Every row within the bound of the longest stride passes; only the
+        # rows past it pay the per-row division.
+        bound = (num_cols - 1) // int(self.strides.max())
+        rows = np.flatnonzero(row_lengths > bound + 1)
+        if rows.shape[0] and np.any(
+            row_lengths[rows] - 1 > (num_cols - 1) // self.strides[rows].astype(np.int64)
+        ):
             raise SparseFormatError("column run would repeat a column")
 
 

@@ -61,10 +61,16 @@ def matrix_from_row_lengths(
             values=np.empty(0, dtype=np.float64),
         )
     starts = rng.integers(0, num_cols, size=num_rows)
-    # Strides are capped so that (length - 1) * stride < num_cols: a run may
-    # wrap past num_cols, but never far enough to repeat a column.
-    max_stride = np.maximum(1, (num_cols - 1) // np.maximum(row_lengths, 1))
-    strides = 1 + (rng.integers(0, 8, size=num_rows) % max_stride)
+    # Strides are 1 + draw % cap, cap = max(1, (num_cols - 1) // max(length, 1)),
+    # so that (length - 1) * stride < num_cols: a run may wrap past
+    # num_cols, but never far enough to repeat a column.  A draw from
+    # [0, 8) is its own remainder under any cap of at least 8, so only the
+    # rows with max(length, 1) > (num_cols - 1) // 8 divide.
+    strides = rng.integers(0, 8, size=num_rows)
+    capped = np.flatnonzero(np.maximum(row_lengths, 1) > (num_cols - 1) // 8)
+    if capped.shape[0]:
+        strides[capped] %= np.maximum(1, (num_cols - 1) // np.maximum(row_lengths[capped], 1))
+    strides += 1
     return CSRMatrix(
         num_rows=num_rows,
         num_cols=num_cols,

@@ -49,8 +49,9 @@ then ``row_offsets``, the column arrays and the values, each padded to 8
 bytes, then a CRC-32 of every byte before it.  The reader checks the
 header, then that the file length is the one the header implies (before
 allocating anything from the header), then the CRC, then that ``nnz`` is
-``row_offsets[-1]``; the arrays are views of one buffer read, and the
-:class:`~repro.sparse.csr.CSRMatrix` constructor validates them as usual.
+``row_offsets[-1]``; the arrays, int32 column runs included, are views
+of one buffer read, and the :class:`~repro.sparse.csr.CSRMatrix`
+constructor validates them as usual.
 
 A generated matrix therefore costs 16 bytes per row, whatever its row
 lengths, where per-nonzero int32 columns cost about 4.8 bytes per nonzero.
@@ -457,7 +458,8 @@ def tier_header(data) -> TierHeader:
 
     Raises :class:`~repro.sparse.coo.SparseFormatError` for a short buffer,
     a foreign magic or version, a kind flag outside {0, 1}, a column
-    itemsize outside {4, 8} or a negative dimension.
+    itemsize outside {4, 8}, 4-byte columns for a ``num_cols`` past int32
+    or a negative dimension.
     """
     if len(data) < _TIER_HEADER.size + _TIER_CRC.size:
         raise SparseFormatError(f"{len(data)} bytes is too short for a CSR container")
@@ -470,6 +472,8 @@ def tier_header(data) -> TierHeader:
         raise SparseFormatError(f"bad kind flags (columns {runs}, values {deferred})")
     if itemsize not in (4, 8):
         raise SparseFormatError(f"bad column itemsize {itemsize}")
+    if itemsize == 4 and dimensions[1] > np.iinfo(np.int32).max:
+        raise SparseFormatError(f"4-byte columns for {dimensions[1]} columns")
     if min(dimensions) < 0:
         raise SparseFormatError(f"negative dimension in header {tuple(dimensions)}")
     return TierHeader(bool(runs), itemsize, bool(deferred), *dimensions)
@@ -523,10 +527,8 @@ def _csr_from_tier_buffer(buffer: bytearray) -> CSRMatrix:
         arrays[name] = np.frombuffer(buffer, dtype=dtype, count=count, offset=offset)
         offset += _padded(dtype.itemsize * count)
     if header.column_runs:
-        columns = RowRuns(
-            starts=arrays["run_starts"].astype(np.int64, copy=False),
-            strides=arrays["run_strides"].astype(np.int64, copy=False),
-        )
+        # Views, not int64 copies: RowRuns widens to int64 per nonzero.
+        columns = RowRuns(starts=arrays["run_starts"], strides=arrays["run_strides"])
     else:
         columns = arrays["col_indices"]
     if header.deferred_values:

@@ -195,3 +195,28 @@ def test_spmm_matrix_artifacts_shared_across_num_vectors():
     # Every matrix recipe is shared by all B widths in the grid.
     assert all(widths == set(NUM_VECTORS_GRID) for widths in by_matrix.values())
     assert len(by_matrix) == len(specs) // len(NUM_VECTORS_GRID)
+
+
+def test_occupancy_is_gathered_once_per_recipe_of_an_uncached_sweep(monkeypatch):
+    """The ``num_vectors`` variants of a recipe share one occupancy pass."""
+    from repro.core.benchmarking import measure_matrix
+    from repro.domains import spmm as spmm_module
+
+    recipes = []
+    gather = spmm_module.spmm_gathered_features
+
+    def spy(workload, context=None):
+        recipes.append(workload.matrix)
+        return gather(workload, context=context)
+
+    monkeypatch.setattr(spmm_module, "spmm_gathered_features", spy)
+    result = run_sweep(profile="tiny", domain="spmm", engine=SweepEngine())
+    specs = SPMM.collection_specs("tiny")
+    assert len(recipes) == len({matrix_key(spec, SPMM) for spec in specs})
+    assert len(recipes) == len(specs) // len(NUM_VECTORS_GRID)
+    # Sharing changes nothing: each spec measured with a context of its own.
+    kernels = SPMM.default_kernels()
+    pipeline = SPMM.make_pipeline()
+    for spec, shared in zip(specs, result.suite):
+        workload = SPMM.workload_from_matrix(spec, SPMM.spec_matrix(spec))
+        assert shared == measure_matrix(spec.name, workload, kernels, pipeline)

@@ -610,3 +610,11 @@ def test_npz_entries_of_older_cache_formats_are_never_read(tmp_path, monkeypatch
     assert ingest_matrix(source, cache)[1] is False
     assert ingest_matrix(source, cache)[1] is True
     assert sorted(path.suffix for path in (tmp_path / "ingest").iterdir()) == [".csr", ".npz"]
+
+
+def test_narrow_columns_past_int32_are_refused(tmp_path):
+    """Guards the loader's int32 run views: 4-byte columns only where num_cols fits."""
+    path = tmp_path / "wide.csr"
+    _edited_header(num_cols=2**31)(path)
+    with pytest.raises(SparseFormatError, match="4-byte columns for 2147483648 columns"):
+        load_tier(path)

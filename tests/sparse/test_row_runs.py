@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.sparse import generators as gen
 from repro.sparse.coo import SparseFormatError
 from repro.sparse.csr import CSRMatrix, RowRuns
-from repro.sparse.io import csr_to_npz_bytes, csr_to_tier_bytes
+from repro.sparse.io import csr_to_npz_bytes, csr_to_tier_bytes, load_tier
 
 #: Every generator that lays its rows out as column runs.
 RUN_GENERATORS = {
@@ -124,3 +124,115 @@ def test_runs_checked_against_supplied_row_lengths(starts, strides, message):
 def test_supplied_row_lengths_accept_valid_runs():
     matrix = gen.power_law_matrix(300, 250, 6.0, rng=3)
     matrix.column_runs.validate(matrix.row_lengths(), matrix.num_cols)
+
+
+def _per_row_validate(runs: RowRuns, row_lengths, num_cols: int) -> None:
+    """Test-local copy of the check that divided every row, on int64 runs."""
+    starts = np.asarray(runs.starts, dtype=np.int64)
+    strides = np.asarray(runs.strides, dtype=np.int64)
+    num_rows = row_lengths.shape[0]
+    if starts.shape != (num_rows,) or strides.shape != (num_rows,):
+        raise SparseFormatError(
+            f"column runs must hold one start and one stride per row, got "
+            f"{starts.shape} and {strides.shape} for {num_rows} rows"
+        )
+    if num_rows == 0:
+        return
+    if starts.min() < 0 or starts.max() >= num_cols:
+        raise SparseFormatError("column run start out of bounds")
+    if strides.min() < 1:
+        raise SparseFormatError("column run strides must be positive")
+    if np.any(row_lengths - 1 > (num_cols - 1) // strides):
+        raise SparseFormatError("column run would repeat a column")
+
+
+def _outcome(check, runs, row_lengths, num_cols):
+    try:
+        check(runs, row_lengths, num_cols)
+    except SparseFormatError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def _runs_near_their_bounds(draw):
+    """Runs whose rows sit on, just inside or just past ``(length - 1) * stride < num_cols``."""
+    num_cols = draw(
+        st.one_of(
+            st.integers(min_value=1, max_value=64),
+            st.integers(min_value=2**31 - 64, max_value=2**31 - 1),
+        )
+    )
+    num_rows = draw(st.integers(min_value=0, max_value=12))
+    max_stride = min(num_cols, 1 << 20)
+    strides = draw(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=1, max_value=8),
+                st.integers(min_value=max(1, max_stride - 8), max_value=max_stride),
+                st.sampled_from([0, min(num_cols + 1, 2**31 - 1)]),
+            ),
+            min_size=num_rows,
+            max_size=num_rows,
+        )
+    )
+    lengths = []
+    for stride in strides:
+        # Longest length whose run does not repeat a column: the equality
+        # (length - 1) * stride == num_cols - 1 is reached when it divides.
+        longest = (num_cols - 1) // max(stride, 1) + 1
+        offset = draw(st.sampled_from([-longest, -1, 0, 1]))
+        lengths.append(max(0, longest + offset))
+    starts = draw(
+        st.lists(
+            st.one_of(
+                st.integers(min_value=0, max_value=num_cols - 1),
+                st.sampled_from([-1, num_cols]),
+            ),
+            min_size=num_rows,
+            max_size=num_rows,
+        )
+    )
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    short = draw(st.booleans()) and num_rows > 0
+    runs = RowRuns(
+        starts=np.array(starts[: num_rows - short], dtype=dtype),
+        strides=np.array(strides, dtype=dtype),
+    )
+    return runs, np.array(lengths, dtype=np.int64), num_cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_runs_near_their_bounds())
+def test_validate_refuses_exactly_what_the_per_row_division_refused(case):
+    """Guards the bound-first check: same inputs refused, same message."""
+    runs, row_lengths, num_cols = case
+    expected = _outcome(_per_row_validate, runs, row_lengths, num_cols)
+    assert _outcome(RowRuns.validate, runs, row_lengths, num_cols) == expected
+
+
+def test_validate_boundary_row_accepted_one_past_refused():
+    # (length - 1) * stride == num_cols - 1 is the longest run that fits.
+    runs = RowRuns(
+        starts=np.array([0, 5], dtype=np.int32), strides=np.array([1, 3], dtype=np.int32)
+    )
+    runs.validate(np.array([2, 4], dtype=np.int64), 10)
+    with pytest.raises(SparseFormatError, match="repeat a column"):
+        runs.validate(np.array([2, 5], dtype=np.int64), 10)
+
+
+@pytest.mark.parametrize("family", sorted(RUN_GENERATORS))
+def test_loaded_int32_views_expand_like_the_generated_int64_recipe(family, tmp_path):
+    """Guards the loader's int32 run views: same int64 columns as the generator."""
+    matrix = RUN_GENERATORS[family]()
+    path = tmp_path / "m.csr"
+    path.write_bytes(csr_to_tier_bytes(matrix))
+    loaded = load_tier(path)
+    runs = loaded.column_runs
+    assert runs.starts.dtype == runs.strides.dtype == np.dtype("<i4")
+    # Views of the one read buffer, not int64 copies.
+    assert runs.starts.base.obj is runs.strides.base.obj is loaded.row_offsets.base.obj
+    assert matrix.column_runs.starts.dtype == np.int64
+    columns = loaded.col_indices
+    assert columns.dtype == np.int64
+    np.testing.assert_array_equal(columns, matrix.col_indices)
