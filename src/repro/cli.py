@@ -272,7 +272,7 @@ def _cmd_serve_daemon(args) -> int:
     import signal
     import threading
 
-    from repro.serving.ingest import IngestError, parse_workload_options
+    from repro.serving.requests import IngestError, parse_workload_options
     from repro.serving.service import (
         ServiceConfig,
         ServiceConfigError,
@@ -330,12 +330,8 @@ def _cmd_serve(args) -> int:
     """Ingest raw matrix files and serve kernel decisions from a model."""
     from repro.pipeline.sources import MatrixSourceError, discover_sources
     from repro.serving.artifacts import ModelArtifactError, load_artifact
-    from repro.serving.ingest import (
-        IngestError,
-        parse_workload_options,
-        serve_sources,
-        write_serve_artifact,
-    )
+    from repro.serving.ingest import serve_sources, write_serve_artifact
+    from repro.serving.requests import IngestError, parse_workload_options
     from repro.sparse.coo import SparseFormatError
 
     if args.daemon:

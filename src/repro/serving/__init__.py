@@ -48,7 +48,6 @@ from repro.serving.compiled import CompiledTree, compile_tree
 from repro.serving.ingest import (
     DECISIONS_FILE_NAME,
     IngestCache,
-    IngestError,
     ServeDecision,
     ServeResult,
     ingest_records,
@@ -57,6 +56,7 @@ from repro.serving.ingest import (
 )
 from repro.serving.registry import MANIFEST_FILE_NAME, ModelRegistry
 from repro.serving.requests import (
+    IngestError,
     ServeFailure,
     ServeRequest,
     ServeResponse,

@@ -22,11 +22,14 @@ Scaling machinery is reused from the sweep engine:
   so re-serving a corpus skips Matrix-Market parsing entirely while any
   file edit or parser change retires stale entries.  Computing the key
   reads and hashes the whole file; a long-lived daemon
-  (:mod:`repro.serving.service`) memoizes the digest of a file whose
-  ``stat`` identity (device, inode, size, mtime and ctime) is unchanged, so
-  its cache hit costs a ``stat`` plus one read, a CRC-32 and array views
-  of the container.  Any write, ``os.utime`` or replacement changes that
-  identity and retires the memo.
+  (:mod:`repro.serving.service`) memoizes the digest and the key of a file
+  whose ``stat`` identity (device, inode, size, mtime and ctime) is
+  unchanged, so its cache hit costs a ``stat``, then one read of the
+  container into an uninitialised buffer, one CRC-32 over it and array
+  views of it: no byte is zero-filled or copied, and stored int32 columns
+  widen only if something reads them (SpMV serving never does).  Any
+  write, ``os.utime`` or replacement changes that identity and retires the
+  memo.
 """
 
 from __future__ import annotations
@@ -57,21 +60,9 @@ from repro.pipeline.sources import (
     resolve_source,
     source_digest,
 )
-
-# The unified request/response API (and the shared column-validation
-# helpers, which historically lived here) — re-exported so existing
-# ``repro.serving.ingest`` imports keep working.
-from repro.serving.requests import (  # noqa: F401  (re-exports)
-    IngestError,
-    ServeFailure,
-    ServeRequest,
+from repro.serving.requests import (
     ServeResponse,
     evaluate_requests,
-    feature_matrix,
-    feature_vector,
-    parse_numeric_cell,
-    parse_workload_options,
-    requests_from_rows,
     requests_from_sources,
 )
 from repro.sparse import io as sparse_io
@@ -103,6 +94,7 @@ class IngestCache:
         # expanduser so the Python API accepts "~/.cache/seer" exactly as
         # the shell-expanded CLI examples do.
         self.root = Path(root).expanduser()
+        self._directory = self.root / "ingest"
 
     def digest(self, source) -> str:
         """The content digest :meth:`key` embeds.
@@ -113,17 +105,22 @@ class IngestCache:
         return source_digest(source)
 
     def key(self, source) -> str:
+        return self.content_key(source.kind, self.digest(source))
+
+    @staticmethod
+    def content_key(kind: str, digest: str) -> str:
+        """The key of a source of ``kind`` whose content digest is ``digest``."""
         return stable_hash(
             {
                 "format": INGEST_FORMAT_VERSION,
                 "sparse": generator_code_version(),
-                "kind": source.kind,
-                "content": self.digest(source),
+                "kind": kind,
+                "content": digest,
             }
         )
 
     def path(self, source) -> Path:
-        return self.root / "ingest" / (self.key(source) + sparse_io.TIER_SUFFIX)
+        return self._directory / (self.key(source) + sparse_io.TIER_SUFFIX)
 
 
 def _load_cached_matrix(path: Path):

@@ -55,7 +55,7 @@ from repro.domains.base import (
     KnownFeatureRow,
 )
 from repro.gpu.device import MI100, DeviceSpec
-from repro.kernels.base import UnsupportedKernelError
+from repro.kernels.base import LaunchContext, UnsupportedKernelError
 from repro.pipeline.sources import MatrixSource, MatrixSourceError, resolve_source
 from repro.serving.backends import CompiledBackend
 from repro.sparse.coo import SparseFormatError
@@ -458,6 +458,9 @@ class _Prepared:
     source: str = ""
     kind: str = "inline"
     workload: Optional[object] = None
+    #: Shared by the workload's feature collection and kernel timing, so its
+    #: row-length arrays are derived once.
+    context: Optional[LaunchContext] = None
     gathered_inline: Optional[GatheredFeatureRow] = None
 
 
@@ -533,6 +536,7 @@ def _prepare_request(
         source=source.location,
         kind=source.kind,
         workload=workload,
+        context=LaunchContext.of(workload),
     )
 
 
@@ -627,7 +631,7 @@ def evaluate_requests(
         if first_pass.selector_choices[position] != USE_GATHERED:
             continue
         if item.workload is not None:
-            gathered = pipeline.gather(item.workload)
+            gathered = pipeline.gather(item.workload, context=item.context)
         elif item.gathered_inline is not None:
             gathered = item.gathered_inline
         else:
@@ -681,7 +685,7 @@ def evaluate_requests(
             executed = True
             kernel = domain.make_kernel(kernel_name, device)
             try:
-                timing = kernel.timing(item.workload)
+                timing = kernel.timing(item.workload, context=item.context)
                 preprocessing_ms = timing.preprocessing_ms
                 runtime_ms = timing.iteration_ms
             except UnsupportedKernelError:

@@ -20,8 +20,8 @@ The moving parts, stdlib only:
   warm :class:`~repro.pipeline.FeaturePipeline` per domain, for the life of
   the process;
 * :class:`MemoizedIngestCache` — the content-addressed ingest cache plus a
-  memo of file digests keyed by ``stat`` identity, so a cache hit on an
-  unchanged file skips reading and hashing it;
+  memo of file digests and cache keys by ``stat`` identity, so a cache hit
+  on an unchanged file skips reading and hashing it;
 * :class:`DynamicBatcher` — a condition-variable admission queue: a batch
   flushes when it reaches ``max_batch_size`` (*full*), when no request
   the front end has admitted is still being read, so nothing else can
@@ -477,14 +477,14 @@ class MemoizedIngestCache(IngestCache):
     """An :class:`IngestCache` that remembers file digests across requests.
 
     A file source whose ``stat`` identity matches the one recorded when it
-    was hashed reuses that digest, so a cache hit on an unchanged file costs
-    a ``stat`` instead of a full read and hash.  The kernel bumps ``ctime``
-    on every write and ``os.utime``, and a replacement brings a new inode,
-    so any edit retires the entry.  A digest is recorded only when the
-    identity is the same before and after hashing and the file's newest
-    timestamp predates the hashing by :data:`DIGEST_MEMO_RACY_MARGIN_S`: an
-    edit within one timestamp tick of the hash could otherwise leave the
-    identity unchanged.  Recipe sources hash their spec as before.  Keys
+    was hashed reuses that digest and the cache key derived from it, so a
+    cache hit on an unchanged file costs a ``stat`` instead of a full read
+    and hash.  The kernel bumps ``ctime`` on every write and ``os.utime``,
+    and a replacement brings a new inode, so any edit retires the entry.
+    A digest is recorded only when the identity is the same before and
+    after hashing and the file's newest timestamp predates the hashing by
+    :data:`DIGEST_MEMO_RACY_MARGIN_S`: an edit within one timestamp tick of
+    the hash could otherwise leave the identity unchanged.  Recipe sources hash their spec as before.  Keys
     are identical to the plain cache's.
     """
 
@@ -497,6 +497,15 @@ class MemoizedIngestCache(IngestCache):
     def digest(self, source) -> str:
         if source.kind == "recipe":
             return super().digest(source)
+        return self._memoized(source)[0]
+
+    def key(self, source) -> str:
+        if source.kind == "recipe":
+            return super().key(source)
+        return self._memoized(source)[1]
+
+    def _memoized(self, source) -> tuple:
+        """``(digest, key)`` of a file source, from the memo while it is unchanged."""
         location = source.location
         identity = _stat_identity(location)
         with self._memo_lock:
@@ -504,9 +513,10 @@ class MemoizedIngestCache(IngestCache):
         if entry is not None and entry[0] == identity:
             if self._on_memo_hit is not None:
                 self._on_memo_hit()
-            return entry[1]
+            return entry[1:]
         started_ns = _wall_clock_ns()
         digest = super().digest(source)
+        key = self.content_key(source.kind, digest)
         settled = (
             identity is not None
             and _stat_identity(location) == identity
@@ -515,11 +525,11 @@ class MemoizedIngestCache(IngestCache):
         )
         if settled:
             with self._memo_lock:
-                self._memo[location] = (identity, digest)
+                self._memo[location] = (identity, digest, key)
                 self._memo.move_to_end(location)
                 while len(self._memo) > DIGEST_MEMO_MAX_ENTRIES:
                     self._memo.popitem(last=False)
-        return digest
+        return digest, key
 
 
 # ----------------------------------------------------------------------

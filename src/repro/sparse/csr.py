@@ -203,9 +203,10 @@ class CSRMatrix:
         Integer array of length ``num_rows + 1``; row ``i`` owns the nonzeros
         in ``[row_offsets[i], row_offsets[i + 1])``.
     col_indices:
-        Column index of every stored entry, grouped by row.  The
+        Column index of every stored entry (int64), grouped by row.  The
         constructor also accepts a :class:`RowRuns` recipe, expanded on
-        first access.
+        first access, and keeps int32 columns (a loaded cache-tier
+        container's view) as given, widened to int64 on first access.
     values:
         Stored values, aligned with ``col_indices``.  The constructor also
         accepts a :class:`DeferredValues` recipe, drawn on first access.
@@ -226,7 +227,9 @@ class CSRMatrix:
         self.num_rows = num_rows
         self.num_cols = num_cols
         self.row_offsets = np.asarray(row_offsets, dtype=np.int64)
-        if not isinstance(col_indices, RowRuns):
+        # Run recipes and int32 columns stay as given until first read.
+        narrow = isinstance(col_indices, np.ndarray) and col_indices.dtype == np.int32
+        if not (narrow or isinstance(col_indices, RowRuns)):
             col_indices = np.asarray(col_indices, dtype=np.int64)
         self._col_indices = col_indices
         if not isinstance(values, DeferredValues):
@@ -236,10 +239,13 @@ class CSRMatrix:
 
     @property
     def col_indices(self) -> np.ndarray:
-        """Column index of every stored entry, grouped by row."""
-        if isinstance(self._col_indices, RowRuns):
-            self._col_indices = self._col_indices.expand(self.row_offsets, self.num_cols)
-        return self._col_indices
+        """Column index of every stored entry (int64), grouped by row."""
+        columns = self._col_indices
+        if isinstance(columns, RowRuns):
+            columns = self._col_indices = columns.expand(self.row_offsets, self.num_cols)
+        elif columns.dtype != np.int64:
+            columns = self._col_indices = columns.astype(np.int64)
+        return columns
 
     @property
     def column_runs(self):

@@ -49,9 +49,11 @@ then ``row_offsets``, the column arrays and the values, each padded to 8
 bytes, then a CRC-32 of every byte before it.  The reader checks the
 header, then that the file length is the one the header implies (before
 allocating anything from the header), then the CRC, then that ``nnz`` is
-``row_offsets[-1]``; the arrays, int32 column runs included, are views
-of one buffer read, and the :class:`~repro.sparse.csr.CSRMatrix`
-constructor validates them as usual.
+``row_offsets[-1]``.  The file is read once into one uninitialised
+buffer, the CRC-32 runs over that buffer once, and every array is a view
+of it: int32 columns, explicit or as runs, stay int32 views, and the
+:class:`~repro.sparse.csr.CSRMatrix` constructor validates them as usual
+(the explicit columns widen to int64 only when first read).
 
 A generated matrix therefore costs 16 bytes per row, whatever its row
 lengths, where per-nonzero int32 columns cost about 4.8 bytes per nonzero.
@@ -507,7 +509,7 @@ def csr_to_tier_bytes(matrix: CSRMatrix) -> bytes:
     return b"".join(parts)
 
 
-def _csr_from_tier_buffer(buffer: bytearray) -> CSRMatrix:
+def _csr_from_tier_buffer(buffer: np.ndarray) -> CSRMatrix:
     header = tier_header(buffer)
     expected = header.file_size()
     if len(buffer) != expected:
@@ -523,8 +525,9 @@ def _csr_from_tier_buffer(buffer: bytearray) -> CSRMatrix:
         )
     arrays = {}
     offset = _TIER_HEADER.size
+    view = memoryview(buffer)
     for name, dtype, count in header.sections():
-        arrays[name] = np.frombuffer(buffer, dtype=dtype, count=count, offset=offset)
+        arrays[name] = np.frombuffer(view, dtype=dtype, count=count, offset=offset)
         offset += _padded(dtype.itemsize * count)
     if header.column_runs:
         # Views, not int64 copies: RowRuns widens to int64 per nonzero.
@@ -547,15 +550,16 @@ def _csr_from_tier_buffer(buffer: bytearray) -> CSRMatrix:
 def load_tier(path) -> CSRMatrix:
     """Read a container written from :func:`csr_to_tier_bytes`.
 
-    The file is read with one ``readinto`` into a buffer of its size, so
-    the loaded arrays are writable views of it.  Raises
+    The file is read with one ``readinto`` into an uninitialised buffer of
+    its size, so the loaded arrays are writable views of it; a short read is
+    refused, so no unread byte reaches a matrix.  Raises
     :class:`~repro.sparse.coo.SparseFormatError` naming the file when it is
     missing, truncated, fails its CRC or does not hold a valid CSR layout.
     """
     path = Path(path)
     try:
         with path.open("rb") as handle:
-            buffer = bytearray(os.fstat(handle.fileno()).st_size)
+            buffer = np.empty(os.fstat(handle.fileno()).st_size, dtype=np.uint8)
             read = handle.readinto(buffer)
     except OSError as exc:
         raise SparseFormatError(f"{path.name}: unreadable file ({exc})") from exc

@@ -10,15 +10,13 @@ from repro.serving.ingest import (
     DECISIONS_FILE_NAME,
     SERVE_MANIFEST_FILE_NAME,
     IngestCache,
-    IngestError,
     ServeResult,
-    feature_matrix,
     ingest_matrix,
     ingest_records,
-    parse_workload_options,
     serve_sources,
     write_serve_artifact,
 )
+from repro.serving.requests import IngestError, feature_matrix, parse_workload_options
 from repro.sparse.generators import banded_matrix, power_law_matrix, regular_matrix
 from repro.sparse.io import save_npz, write_matrix_market
 

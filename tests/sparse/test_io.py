@@ -8,6 +8,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.sparse.coo import SparseFormatError
 from repro.sparse.csr import CSRMatrix
@@ -498,6 +500,12 @@ def _runs_of_wrong_length(data, lengths):
     del data[end - 8 : end]
 
 
+def _column_out_of_range(path):
+    data = _container(_expanded(power_law_matrix(60, 45, 4.0, rng=6)))
+    _section(data, "col_indices")[-1] = 45  # num_cols
+    path.write_bytes(_sealed(data))
+
+
 def _bad_crc(path):
     data = _container()
     data[len(data) // 2] ^= 0xFF
@@ -524,6 +532,7 @@ UNREADABLE = {
     "run-stride-below-one": (_edited_runs(_stride_below_one), "strides must be positive"),
     "run-repeats-a-column": (_edited_runs(_run_repeats_a_column), "would repeat a column"),
     "runs-of-wrong-length": (_edited_runs(_runs_of_wrong_length), "header implies"),
+    "column-out-of-range": (_column_out_of_range, "column index out of bounds"),
     "bad-magic": (_edited_header(magic=b"NOTACSR\0"), "bad magic"),
     "bad-version": (_edited_header(version=2), "version 2"),
     "column-kind-out-of-range": (_edited_header(column_runs=2), "bad kind flags"),
@@ -618,3 +627,54 @@ def test_narrow_columns_past_int32_are_refused(tmp_path):
     _edited_header(num_cols=2**31)(path)
     with pytest.raises(SparseFormatError, match="4-byte columns for 2147483648 columns"):
         load_tier(path)
+
+
+@pytest.mark.parametrize("column", [45, -1])
+def test_sealed_container_with_a_column_out_of_bounds_is_refused_at_load(column, tmp_path):
+    """Guards the bounds check on the stored int32 columns, which stay narrow."""
+    data = _container(_expanded(power_law_matrix(60, 45, 4.0, rng=6)))
+    assert tier_header(data).column_itemsize == 4
+    _section(data, "col_indices")[0] = column
+    sealed = _sealed(data)
+    assert struct.unpack("<I", sealed[-4:])[0] == zlib.crc32(sealed[:-4])  # the CRC passes
+    path = tmp_path / "bad.csr"
+    path.write_bytes(sealed)
+    with pytest.raises(SparseFormatError, match="column index out of bounds"):
+        load_tier(path)
+
+
+@st.composite
+def explicit_column_matrices(draw):
+    """Matrices with explicit sorted columns; ``WIDE`` columns are stored as int64."""
+    num_cols = draw(st.sampled_from([1, 9, 300, WIDE]))
+    lengths = draw(st.lists(st.integers(0, min(num_cols, 6)), max_size=10))
+    columns = [
+        sorted(draw(st.lists(st.integers(0, num_cols - 1), min_size=n, max_size=n, unique=True)))
+        for n in lengths
+    ]
+    flat = np.array([col for row in columns for col in row], dtype=np.int64)
+    return CSRMatrix(
+        num_rows=len(lengths),
+        num_cols=num_cols,
+        row_offsets=np.concatenate(([0], np.cumsum(lengths, dtype=np.int64))),
+        col_indices=flat,
+        values=np.linspace(0.5, 1.5, flat.shape[0]),
+    )
+
+
+@given(matrix=explicit_column_matrices())
+@example(matrix=CSRMatrix(0, 9, [0], [], []))
+@example(matrix=CSRMatrix(3, WIDE, [0, 0, 0, 0], [], []))
+@settings(max_examples=60, deadline=None)
+def test_loaded_explicit_columns_widen_once_to_the_written_int64(matrix, tmp_path_factory):
+    """Guards the lazy widening: stored int32 or int64 columns read back as
+    the written int64 array, widened once and cached."""
+    path = tmp_path_factory.mktemp("tier") / f"m{TIER_SUFFIX}"
+    path.write_bytes(csr_to_tier_bytes(matrix))
+    assert tier_header(path.read_bytes()).column_itemsize == (8 if matrix.num_cols == WIDE else 4)
+    loaded = load_tier(path)
+    assert loaded.column_runs is None
+    columns = loaded.col_indices
+    assert columns.dtype == np.int64
+    np.testing.assert_array_equal(columns, matrix.col_indices)
+    assert loaded.col_indices is columns
