@@ -18,9 +18,9 @@ def test_table3_kendall_correlations(benchmark, paper_sweep):
     )
     # Paper-shape checks: row-mapped kernels correlate strongly with the row
     # count; the work-oriented kernels correlate most strongly with nnz.
-    adaptive = result.row_for("CSR,A")
-    work_oriented = result.row_for("CSR,WO")
-    ell = result.row_for("ELL,TM")
+    adaptive = result.correlations["CSR,A"]
+    work_oriented = result.correlations["CSR,WO"]
+    ell = result.correlations["ELL,TM"]
     assert adaptive["rows"] > 0.5
     assert work_oriented["nnz"] >= work_oriented["most"]
     assert ell["rows"] <= adaptive["rows"]

@@ -367,17 +367,22 @@ def _measure_spec_chunk(
     return measurements, generated, matrix_hits
 
 
-def run_chunked(worker, items, jobs: int, chunks_per_job: int = 4, args=()) -> list:
+#: Work chunks :func:`run_chunked` creates per worker: more than one smooths
+#: load imbalance between cheap and expensive items, at the cost of more
+#: inter-process traffic.
+CHUNKS_PER_JOB = 4
+
+
+def run_chunked(worker, items, jobs: int, args=()) -> list:
     """Fan ``worker(chunk, *args)`` out over processes, in deterministic order.
 
     The engine's benchmarking stage and the serving layer's ingestion stage
-    share this process-pool shape: items are split into ``jobs *
-    chunks_per_job`` contiguous chunks (smoothing load imbalance between
-    cheap and expensive items), futures are collected in submission order,
-    and the per-chunk results come back as one list — so a parallel run
-    reassembles bit-identically to the serial loop.  ``jobs == 0`` means one
-    worker per CPU (as everywhere in the API); ``jobs == 1`` (or a single
-    item) short-circuits to an in-process call.
+    share this process-pool shape: items are split into ``jobs *``
+    :data:`CHUNKS_PER_JOB` contiguous chunks, futures are collected in
+    submission order, and the per-chunk results come back as one list — so
+    a parallel run reassembles bit-identically to the serial loop.
+    ``jobs == 0`` means one worker per CPU (as everywhere in the API);
+    ``jobs == 1`` (or a single item) short-circuits to an in-process call.
     """
     if jobs < 0:
         raise ValueError("jobs must be >= 0 (0 means one worker per CPU)")
@@ -386,7 +391,7 @@ def run_chunked(worker, items, jobs: int, chunks_per_job: int = 4, args=()) -> l
     items = list(items)
     if jobs == 1 or len(items) <= 1:
         return [worker(items, *args)]
-    chunk_size = max(1, -(-len(items) // (jobs * max(1, chunks_per_job))))
+    chunk_size = max(1, -(-len(items) // (jobs * CHUNKS_PER_JOB)))
     chunks = [items[start : start + chunk_size] for start in range(0, len(items), chunk_size)]
     with ProcessPoolExecutor(max_workers=min(jobs, len(chunks))) as pool:
         futures = [pool.submit(worker, chunk, *args) for chunk in chunks]
@@ -420,18 +425,13 @@ class SweepEngine:
     cache_dir:
         Directory for persistent artifacts.  ``None`` disables disk caching
         (the engine still parallelizes).
-    chunks_per_job:
-        Work chunks created per worker; larger values smooth out load
-        imbalance between cheap and expensive matrices at the cost of more
-        inter-process traffic.
     """
 
-    def __init__(self, jobs: int = 1, cache_dir=None, chunks_per_job: int = 4):
+    def __init__(self, jobs: int = 1, cache_dir=None):
         if jobs < 0:
             raise ValueError("jobs must be >= 0 (0 means one worker per CPU)")
         self.jobs = jobs if jobs > 0 else (os.cpu_count() or 1)
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.chunks_per_job = max(1, chunks_per_job)
         self.stats = EngineStats()
 
     def describe(self) -> dict:
@@ -439,7 +439,6 @@ class SweepEngine:
         return {
             "jobs": self.jobs,
             "cache_dir": str(self.cache_dir) if self.cache_dir is not None else None,
-            "chunks_per_job": self.chunks_per_job,
             "stats": self.stats.as_dict(),
         }
 
@@ -543,7 +542,6 @@ class SweepEngine:
             _measure_spec_chunk,
             specs,
             jobs=self.jobs,
-            chunks_per_job=self.chunks_per_job,
             args=(kernel_labels, device, domain, self._matrix_dir()),
         )
         measurements = []

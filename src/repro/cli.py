@@ -272,6 +272,7 @@ def _cmd_serve_daemon(args) -> int:
     import signal
     import threading
 
+    from repro.serving.artifacts import ModelArtifactError
     from repro.serving.requests import IngestError, parse_workload_options
     from repro.serving.service import (
         ServiceConfig,
@@ -279,6 +280,11 @@ def _cmd_serve_daemon(args) -> int:
         ServingService,
     )
 
+    if args.iterations is not None:
+        raise SystemExit(
+            "repro: error: --iterations sets one-shot serving only; daemon "
+            "requests carry their own 'iterations' field"
+        )
     try:
         if args.config is not None:
             config = ServiceConfig.from_toml(args.config)
@@ -296,14 +302,13 @@ def _cmd_serve_daemon(args) -> int:
             max_batch_size=args.max_batch_size,
             max_wait_ms=args.max_wait_ms,
             cache_dir=args.cache_dir,
-            iterations=args.iterations,
             log_dir=args.log_dir,
             feedback_dir=args.feedback_dir,
             drift_threshold=args.drift_threshold,
             options=options or None,
         )
         service = ServingService(config)
-    except (ServiceConfigError, IngestError, OSError) as error:
+    except (ServiceConfigError, ModelArtifactError, IngestError, OSError) as error:
         raise SystemExit(f"repro: error: {error}") from None
     host, port = service.address
     print(
@@ -667,7 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--iterations", type=int, default=None, metavar="N",
-        help="iteration count the decisions assume (default: 1)",
+        help="iteration count the decisions assume (default: 1; one-shot "
+        "mode only, daemon requests carry their own)",
     )
     serve.add_argument(
         "--out-dir", default=".", metavar="DIR",

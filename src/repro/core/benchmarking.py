@@ -62,10 +62,6 @@ class MatrixMeasurement:
             key=lambda kernel: (self.kernel_total_ms(kernel, iterations), kernel),
         )
 
-    def oracle_time_ms(self, iterations: int = 1) -> float:
-        """End-to-end time of the fastest kernel (the Oracle of the paper)."""
-        return self.kernel_total_ms(self.fastest_kernel(iterations), iterations)
-
 
 @dataclass
 class BenchmarkSuite:

@@ -75,17 +75,6 @@ def write_kernel_benchmark_csv(path, kernel_name: str, rows) -> None:
             writer.writerow([name, f"{runtime_ms:.9g}", f"{preprocessing_ms:.9g}"])
 
 
-def read_kernel_benchmark_csv(path) -> list:
-    """Read a per-kernel benchmarking CSV back into a list of tuples."""
-    path = Path(path)
-    with path.open("r", newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if tuple(header) != BENCHMARK_COLUMNS:
-            raise ValueError(f"unexpected benchmark CSV header {header!r}")
-        return [(name, float(runtime), float(prep)) for name, runtime, prep in reader]
-
-
 def write_aggregate_csv(path, kernel_names, table: dict) -> None:
     """Write an aggregate (runtime or preprocessing) CSV.
 

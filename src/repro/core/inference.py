@@ -39,11 +39,6 @@ class SelectionDecision:
     inference_time_ms: float
 
     @property
-    def collected_features(self) -> bool:
-        """Whether the gathered path (feature collection) was taken."""
-        return self.selector_choice == USE_GATHERED
-
-    @property
     def overhead_ms(self) -> float:
         """Total selection overhead: tree evaluations plus collection cost."""
         return self.inference_time_ms + self.collection_time_ms
@@ -103,24 +98,30 @@ class SeerPredictor:
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
         known = self.pipeline.known_features(workload, iterations)
-        return self._decide_flow(known, name, lambda: self.pipeline.gather(workload))
-
-    def predict_from_features(
-        self,
-        known,
-        gathered,
-        collection_time_ms: float,
-        name: str = "matrix",
-    ) -> SelectionDecision:
-        """Select a kernel from pre-computed features (no matrix access).
-
-        For features a benchmark sweep already measured: the gathered row's
-        collection cost is taken as given, so re-simulating collection here
-        would double-count it.  (The evaluation harness decides whole
-        datasets at once through :meth:`SeerModels.predict_batch`.)
-        """
-        return self._decide_flow(
-            known, name, lambda: gathered.with_collection_time(collection_time_ms)
+        known_vector = known.as_vector()
+        selector_choice = self.models.predict_selector(known_vector)
+        inference_ms = TREE_EVALUATION_MS  # the selector evaluation
+        if selector_choice == USE_GATHERED:
+            gathered = self.pipeline.gather(workload)
+            collection_ms = gathered.collection_time_ms
+            kernel_name = self.models.predict_gathered(
+                known_vector, gathered.as_vector()
+            )
+        else:
+            selector_choice = USE_KNOWN
+            gathered = self.domain.empty_gathered()
+            collection_ms = 0.0
+            kernel_name = self.models.predict_known(known_vector)
+        inference_ms += TREE_EVALUATION_MS  # the chosen classifier evaluation
+        return SelectionDecision(
+            matrix_name=name,
+            iterations=known.iterations,
+            selector_choice=selector_choice,
+            kernel_name=kernel_name,
+            known=known,
+            gathered=gathered,
+            collection_time_ms=collection_ms,
+            inference_time_ms=inference_ms,
         )
 
     def serve(self, request, cache=None, execute: bool = False):
@@ -146,34 +147,6 @@ class SeerPredictor:
             strict=True,
         )
         return responses[0]
-
-    def _decide_flow(self, known, name: str, gather) -> SelectionDecision:
-        """The Fig. 3 decision flow; ``gather`` yields the paid feature row."""
-        known_vector = known.as_vector()
-        selector_choice = self.models.predict_selector(known_vector)
-        inference_ms = TREE_EVALUATION_MS  # the selector evaluation
-        if selector_choice == USE_GATHERED:
-            gathered = gather()
-            collection_ms = gathered.collection_time_ms
-            kernel_name = self.models.predict_gathered(
-                known_vector, gathered.as_vector()
-            )
-        else:
-            selector_choice = USE_KNOWN
-            gathered = self.domain.empty_gathered()
-            collection_ms = 0.0
-            kernel_name = self.models.predict_known(known_vector)
-        inference_ms += TREE_EVALUATION_MS  # the chosen classifier evaluation
-        return SelectionDecision(
-            matrix_name=name,
-            iterations=known.iterations,
-            selector_choice=selector_choice,
-            kernel_name=kernel_name,
-            known=known,
-            gathered=gathered,
-            collection_time_ms=collection_ms,
-            inference_time_ms=inference_ms,
-        )
 
     # ------------------------------------------------------------------
     # Execution

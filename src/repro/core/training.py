@@ -121,16 +121,15 @@ class SeerModels:
 
         ``known_matrix`` has one known-feature row per sample;
         ``gathered_matrix`` (optional) the matching gathered-feature rows.
-        Each tree is evaluated through its compiled flattened form
+        Each tree evaluates the whole batch in one call
         (:mod:`repro.serving.compiled`: flat-list walks for small batches,
-        a few NumPy passes for large ones) instead of 3N recursive walks of
-        linked nodes — element-wise identical
-        to :meth:`predict_known` / :meth:`predict_gathered` /
+        a few NumPy passes for large ones), so the result is element-wise
+        that of :meth:`predict_known` / :meth:`predict_gathered` /
         :meth:`predict_selector` per row.
         """
         known_matrix = np.atleast_2d(np.asarray(known_matrix, dtype=np.float64))
-        selector_choices = tuple(self.selector_model.predict_batch(known_matrix))
-        known_kernels = tuple(self.known_model.predict_batch(known_matrix))
+        selector_choices = tuple(self.selector_model.predict(known_matrix))
+        known_kernels = tuple(self.known_model.predict(known_matrix))
         gathered_kernels = None
         if gathered_matrix is not None:
             gathered_matrix = np.atleast_2d(
@@ -142,7 +141,7 @@ class SeerModels:
                     f"count: {known_matrix.shape[0]} vs {gathered_matrix.shape[0]}"
                 )
             full = np.concatenate((known_matrix, gathered_matrix), axis=1)
-            gathered_kernels = tuple(self.gathered_model.predict_batch(full))
+            gathered_kernels = tuple(self.gathered_model.predict(full))
         return BatchSelection(
             selector_choices=selector_choices,
             known_kernels=known_kernels,

@@ -261,11 +261,6 @@ class ProblemDomain:
         """Gathered-feature names in classifier input order."""
         return tuple(f.name for f in self.gathered_fields)
 
-    @property
-    def all_feature_names(self) -> tuple:
-        """Known followed by gathered — the gathered classifier's layout."""
-        return self.known_feature_names + self.gathered_feature_names
-
     def known_features(self, workload, iterations: int = 1):
         """Extract the trivially known features of ``workload``."""
         values = []

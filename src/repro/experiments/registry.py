@@ -165,11 +165,6 @@ def register_experiment(
     return decorate
 
 
-def unregister_experiment(name: str) -> None:
-    """Remove a registered experiment (primarily for tests)."""
-    _EXPERIMENTS.pop(name, None)
-
-
 def experiment_names() -> tuple:
     """Registered experiment names, in registration (paper) order."""
     return tuple(_EXPERIMENTS)

@@ -70,10 +70,6 @@ class Table3Result:
     correlations: dict = field(default_factory=dict)
     feature_names: tuple = TABLE3_FEATURES
 
-    def row_for(self, kernel: str) -> dict:
-        """Correlation row of one kernel."""
-        return self.correlations[kernel]
-
     def to_rows(self) -> list:
         """Rows (kernel, tau per feature) in kernel order."""
         rows = []

@@ -54,11 +54,6 @@ class DeviceSpec:
     host_ns_per_op: float
 
     @property
-    def lane_count(self) -> int:
-        """Total number of SIMD lanes across the device."""
-        return self.num_cus * self.simd_width
-
-    @property
     def cycle_time_ns(self) -> float:
         """Duration of one device clock cycle in nanoseconds."""
         return 1.0 / self.clock_ghz

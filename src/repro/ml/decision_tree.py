@@ -267,36 +267,13 @@ class DecisionTreeClassifier:
         if self.root_ is None:
             raise RuntimeError("DecisionTreeClassifier used before fit()")
 
-    def _leaf_for(self, sample: np.ndarray) -> TreeNode:
-        node = self.root_
-        while not node.is_leaf:
-            if sample[node.feature] <= node.threshold:
-                node = node.left
-            else:
-                node = node.right
-        return node
-
-    def predict(self, X) -> list:
-        """Predict the class label of every row of ``X``."""
-        self._require_fitted()
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if X.shape[1] != self.num_features_:
-            raise ValueError(
-                f"expected {self.num_features_} features, got {X.shape[1]}"
-            )
-        codes = [self._leaf_for(sample).prediction for sample in X]
-        return self._encoder.inverse_transform(codes)
-
-    def predict_one(self, sample):
-        """Predict the class label of a single feature vector."""
-        return self.predict(np.asarray(sample, dtype=np.float64).reshape(1, -1))[0]
-
     def compiled(self):
-        """The tree flattened for serving evaluation (built lazily).
+        """The flattened tree (built on first use, reset by :meth:`fit`).
 
-        The compiled form is cached on the instance and invalidated by
-        :meth:`fit`; it performs exactly the comparisons of the recursive
-        walk, so ``predict_batch`` and ``predict`` always agree.
+        Every prediction goes through this one evaluation
+        (:class:`~repro.serving.compiled.CompiledTree`): small batches walk
+        flat node lists, larger ones advance one tree level at a time in
+        NumPy.
         """
         self._require_fitted()
         if self._compiled is None:
@@ -305,29 +282,28 @@ class DecisionTreeClassifier:
             self._compiled = compile_tree(self)
         return self._compiled
 
-    def predict_batch(self, X) -> list:
-        """Predict every row of ``X`` through the compiled tree.
-
-        Element-wise identical to :meth:`predict`; the recursive walk is
-        kept as the auditable reference implementation while this path
-        walks small batches over flat node lists and advances larger ones
-        one tree level at a time in NumPy
-        (:meth:`~repro.serving.compiled.CompiledTree.predict_codes`, which
-        also checks the feature count).
-        """
+    def predict(self, X) -> list:
+        """Predict the class label of every row of ``X``."""
         return self._encoder.inverse_transform(self.compiled().predict_codes(X))
 
+    def predict_one(self, sample):
+        """Predict the class label of a single feature vector."""
+        return self.predict(np.asarray(sample, dtype=np.float64).reshape(1, -1))[0]
+
     def predict_proba(self, X) -> np.ndarray:
-        """Per-class empirical (weighted) probabilities of the reached leaves."""
-        self._require_fitted()
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        probabilities = np.zeros((X.shape[0], len(self._encoder.classes_)))
-        for i, sample in enumerate(X):
-            leaf = self._leaf_for(sample)
-            total = leaf.class_counts.sum()
-            if total:
-                probabilities[i] = leaf.class_counts / total
-        return probabilities
+        """Per-class empirical (weighted) probabilities of the reached leaves.
+
+        A leaf's row is its ``class_counts`` over their sum (zeros when the
+        sum is 0), tabulated per node in the compiled layout's pre-order.
+        """
+        leaves = self.compiled().predict_leaves(X)
+        nodes = self.nodes()
+        table = np.zeros((len(nodes), len(self._encoder.classes_)))
+        for index, node in enumerate(nodes):
+            total = node.class_counts.sum()
+            if node.is_leaf and total:
+                table[index] = node.class_counts / total
+        return table[leaves]
 
     # ------------------------------------------------------------------
     # Introspection
@@ -356,23 +332,6 @@ class DecisionTreeClassifier:
 
         _walk(self.root_)
         return out
-
-    def feature_importances(self) -> np.ndarray:
-        """Impurity-based feature importances, normalized to sum to one."""
-        self._require_fitted()
-        importances = np.zeros(self.num_features_, dtype=np.float64)
-        total_weight = self.root_.total_weight
-        for node in self.nodes():
-            if node.is_leaf:
-                continue
-            weighted_child_impurity = (
-                node.left.total_weight * node.left.impurity
-                + node.right.total_weight * node.right.impurity
-            ) / node.total_weight
-            decrease = node.impurity - weighted_child_impurity
-            importances[node.feature] += node.total_weight / total_weight * decrease
-        total = importances.sum()
-        return importances / total if total > 0 else importances
 
     def export_text(self) -> str:
         """Human-readable if/else rendering of the tree (explainability)."""

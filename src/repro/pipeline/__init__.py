@@ -161,11 +161,3 @@ class FeaturePipeline:
         """
         matrix = load_source(source)
         return self.domain.serving_workload(matrix, options or {})
-
-    def extract_from_source(
-        self, source, iterations: int = 1, gather: bool = True, options=None
-    ) -> FeatureBundle:
-        """Featurize a raw source end to end (source → CSR → features)."""
-        return self.extract(
-            self.load_workload(source, options), iterations=iterations, gather=gather
-        )

@@ -48,7 +48,6 @@ from repro.serving.compiled import CompiledTree, compile_tree
 from repro.serving.ingest import (
     DECISIONS_FILE_NAME,
     IngestCache,
-    ServeDecision,
     ServeResult,
     ingest_records,
     serve_sources,
@@ -70,7 +69,6 @@ __all__ = [
     "DECISIONS_FILE_NAME",
     "IngestCache",
     "IngestError",
-    "ServeDecision",
     "ServeFailure",
     "ServeRequest",
     "ServeResponse",

@@ -1,25 +1,23 @@
-"""Flattened decision trees: the one serving evaluation of a fitted tree.
+"""Flattened decision trees: the one evaluation of a fitted tree.
 
 The paper's pitch for decision trees is that they are "effectively nested
-if/else statements" — cheap to evaluate and auditable.  The recursive
-:meth:`~repro.ml.decision_tree.DecisionTreeClassifier.predict` walk is the
-readable reference implementation of that evaluation, but it pays Python
-call overhead per sample per level.  For serving, each fitted tree is
+if/else statements" — cheap to evaluate and auditable.  Each fitted tree is
 *compiled* once into five parallel node arrays — feature index, threshold,
-left/right child and leaf class code per node — and evaluated one of two
-ways, picked by batch size alone:
+left/right child and leaf class code per node — and every prediction, in
+training, the experiments and serving alike, evaluates those arrays one of
+two ways, picked by batch size alone:
 
 * up to :data:`WALK_MAX_ROWS` rows (the daemon's admission windows of 1–16
   rows), each row walks the tree in plain Python over list copies of the
   arrays — no per-level NumPy call overhead;
-* above that (sweep evaluation, CSV scoring, ``repro predict --batch``),
-  all rows advance through the tree together: one vectorized
-  compare-and-gather per tree level instead of N walks.
+* above that (training, sweep evaluation, CSV scoring,
+  ``repro predict --batch``), all rows advance through the tree together:
+  one vectorized compare-and-gather per tree level instead of N walks.
 
-Both are exact, not approximate: they perform the same
-``feature <= threshold`` comparisons on the same float64 values as the
-recursive walk (NaN compares false and goes right), so every path agrees
-element-wise on every input (differential-tested in ``tests/serving``).
+Both make the same ``feature <= threshold`` comparisons on the same float64
+values (NaN compares false and goes right) and reach the same leaf.  A
+recursive walk over the linked tree nodes lives with the tests, as the
+oracle both are differential-tested against.
 """
 
 from __future__ import annotations
@@ -46,8 +44,8 @@ class CompiledTree:
     ``threshold`` is ``+inf`` and both children point back at the leaf
     itself, so ``X[:, 0] <= +inf`` keeps every row parked on its leaf while
     other rows are still descending.  (NaN features compare false and take
-    the right child — exactly like the recursive walk.)  ``leaf_code`` holds
-    the predicted class code at leaves and ``-1`` at internal nodes.
+    the right child.)  ``leaf_code`` holds the predicted class code at
+    leaves and ``-1`` at internal nodes.
     ``nodes`` holds the same five arrays as Python lists, built once, for
     the row-by-row walk.
     """
@@ -65,8 +63,8 @@ class CompiledTree:
         arrays = (self.feature, self.threshold, self.left, self.right, self.leaf_code)
         object.__setattr__(self, "nodes", tuple(array.tolist() for array in arrays))
 
-    def predict_codes(self, X) -> np.ndarray:
-        """Class codes of every row of ``X``.
+    def predict_leaves(self, X) -> np.ndarray:
+        """Index of the leaf every row of ``X`` reaches.
 
         Batches of at most :data:`WALK_MAX_ROWS` rows are walked row by
         row; larger ones advance all rows one level at a time.
@@ -83,12 +81,16 @@ class CompiledTree:
         for _ in range(self.depth):
             go_left = X[rows, self.feature[indices]] <= self.threshold[indices]
             indices = np.where(go_left, self.left[indices], self.right[indices])
-        return self.leaf_code[indices]
+        return indices
+
+    def predict_codes(self, X) -> np.ndarray:
+        """Class codes of every row of ``X``."""
+        return self.leaf_code[self.predict_leaves(X)]
 
     def _walk(self, rows: list) -> list:
-        """Leaf codes of ``rows`` (lists of floats), one descent per row."""
+        """Leaf indices of ``rows`` (lists of floats), one descent per row."""
         feature, threshold, left, right, leaf_code = self.nodes
-        codes = []
+        leaves = []
         for row in rows:
             index = 0
             while leaf_code[index] == NO_NODE:
@@ -96,8 +98,8 @@ class CompiledTree:
                     index = left[index]
                 else:
                     index = right[index]
-            codes.append(leaf_code[index])
-        return codes
+            leaves.append(index)
+        return leaves
 
 
 def compile_tree(model) -> CompiledTree:

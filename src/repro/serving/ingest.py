@@ -60,11 +60,7 @@ from repro.pipeline.sources import (
     resolve_source,
     source_digest,
 )
-from repro.serving.requests import (
-    ServeResponse,
-    evaluate_requests,
-    requests_from_sources,
-)
+from repro.serving.requests import evaluate_requests, requests_from_sources
 from repro.sparse import io as sparse_io
 from repro.sparse.coo import SparseFormatError
 from repro.sparse.csr import CSRMatrix
@@ -171,10 +167,10 @@ def ingest_records(target, domain=None, cache_dir=None, options=None) -> list:
 
     ``target`` is anything :func:`~repro.pipeline.sources.discover_sources`
     understands (directory, manifest, single file, recipe spec) or an
-    already-discovered source list.  This is how experiment suites consume
-    ingested corpora: the records feed straight into
-    :func:`repro.core.benchmarking.run_benchmark_suite` or
-    ``run_sweep(collection=...)``.
+    already-discovered source list.  This is how the measurement machinery
+    consumes ingested corpora: the records feed straight into
+    :func:`repro.core.benchmarking.run_benchmark_suite`, as
+    :func:`repro.serving.feedback.feedback_from_corpus` does.
     """
     from repro.sparse.collection import MatrixRecord
 
@@ -201,55 +197,6 @@ def ingest_records(target, domain=None, cache_dir=None, options=None) -> list:
 # ----------------------------------------------------------------------
 # Serving
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ServeDecision:
-    """One served workload: its features, routing and executed kernel."""
-
-    name: str
-    source: str
-    kind: str
-    known: object
-    gathered: object
-    selector_choice: str
-    kernel: str
-    supported: bool
-    collection_time_ms: float
-    inference_time_ms: float
-    preprocessing_ms: float
-    runtime_ms: float
-
-    @classmethod
-    def from_response(cls, response: ServeResponse) -> "ServeDecision":
-        """The artifact-row form of one unified-API :class:`ServeResponse`."""
-        return cls(
-            name=response.name,
-            source=response.source,
-            kind=response.kind,
-            known=response.known,
-            gathered=response.gathered,
-            selector_choice=response.selector_choice,
-            kernel=response.kernel,
-            supported=response.supported,
-            collection_time_ms=response.collection_time_ms,
-            inference_time_ms=response.inference_time_ms,
-            preprocessing_ms=response.preprocessing_ms,
-            runtime_ms=response.runtime_ms,
-        )
-
-    @property
-    def kernel_total_ms(self) -> float:
-        """Preprocessing plus all iterations of the selected kernel."""
-        iterations = int(getattr(self.known, "iterations", 1))
-        return self.preprocessing_ms + iterations * self.runtime_ms
-
-    @property
-    def total_ms(self) -> float:
-        """Selection overhead plus kernel execution, end to end."""
-        return (
-            self.collection_time_ms + self.inference_time_ms + self.kernel_total_ms
-        )
-
-
 @dataclass
 class ServeStats:
     """Counters describing what a serve run actually did."""
@@ -266,7 +213,11 @@ class ServeStats:
 
 @dataclass
 class ServeResult:
-    """All decisions of one ``repro serve`` run, in corpus order."""
+    """All decisions of one ``repro serve`` run, in corpus order.
+
+    ``decisions`` holds the :class:`~repro.serving.requests.ServeResponse`
+    of every source.
+    """
 
     domain_name: str
     device_name: str
@@ -372,7 +323,7 @@ def _serve_chunk(
     (:func:`repro.serving.requests.evaluate_requests`), whose vectorized
     tree passes are element-wise identical to the serial predictor flow —
     featurization and the simulated timings stay deterministic.  Returns
-    ``(decisions, ingested, cache_hits)``.
+    ``(responses, ingested, cache_hits)``.
     """
     domain = get_domain(domain)
     cache = IngestCache(cache_dir) if cache_dir is not None else None
@@ -388,8 +339,7 @@ def _serve_chunk(
         execute=True,
         strict=True,
     )
-    decisions = [ServeDecision.from_response(response) for response in responses]
-    return decisions, stats.matrices_ingested, stats.ingest_cache_hits
+    return responses, stats.matrices_ingested, stats.ingest_cache_hits
 
 
 def serve_sources(
@@ -401,7 +351,6 @@ def serve_sources(
     jobs: int = 1,
     cache_dir=None,
     options=None,
-    chunks_per_job: int = 4,
 ) -> ServeResult:
     """Ingest a corpus and serve kernel decisions for every matrix in it.
 
@@ -422,7 +371,6 @@ def serve_sources(
         _serve_chunk,
         sources,
         jobs=jobs,
-        chunks_per_job=chunks_per_job,
         args=(models, domain, device, iterations, options, cache_dir),
     )
     result = ServeResult(

@@ -294,12 +294,3 @@ class ModelRegistry:
         if key is None:
             return None
         return self.artifact_dir(domain, profile, key) / MODEL_FILE_NAME
-
-    def manifest_for(self, domain, profile, key: str) -> Optional[dict]:
-        """The ``manifest.json`` sidecar of one artifact, or ``None``."""
-        path = self.artifact_dir(domain, profile, key) / MANIFEST_FILE_NAME
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        return payload if isinstance(payload, dict) else None

@@ -113,25 +113,30 @@ def _load_toml(path: Path) -> dict:
         raise ServiceConfigError(f"{path}: {error}") from None
 
 
-#: Keys a ``[service]`` table (or flag overrides) may set.
-_CONFIG_KEYS = frozenset(
-    {
-        "host",
-        "port",
-        "model",
-        "registry",
-        "domain",
-        "profile",
-        "max_batch_size",
-        "max_wait_ms",
-        "cache_dir",
-        "iterations",
-        "log_dir",
-        "execute",
-        "feedback_dir",
-        "drift_threshold",
-    }
-)
+_TEXT = ((str,), "a string")
+_PATH = ((str, os.PathLike, type(None)), "a path")
+_NAME = ((str, type(None)), "a string")
+_INT = ((int,), "an integer")
+_NUMBER = ((int, float), "a number")
+
+#: Keys a ``[service]`` table (or flag overrides) may set, with the types
+#: each accepts.  ``true``/``false`` is never a number here, although Python
+#: counts ``bool`` as an ``int``.
+_CONFIG_TYPES = {
+    "host": _TEXT,
+    "port": _INT,
+    "model": _PATH,
+    "registry": _PATH,
+    "domain": _NAME,
+    "profile": _TEXT,
+    "max_batch_size": _INT,
+    "max_wait_ms": _NUMBER,
+    "cache_dir": _PATH,
+    "log_dir": _PATH,
+    "execute": ((bool,), "true or false"),
+    "feedback_dir": _PATH,
+    "drift_threshold": _NUMBER,
+}
 
 
 @dataclass(frozen=True)
@@ -155,7 +160,6 @@ class ServiceConfig:
     max_batch_size: int = 16
     max_wait_ms: float = 5.0
     cache_dir: Optional[str] = None
-    iterations: int = 1
     log_dir: Optional[str] = None
     execute: bool = True
     feedback_dir: Optional[str] = None
@@ -168,21 +172,23 @@ class ServiceConfig:
                 "the service needs a model origin: set 'model' (a model.json "
                 "path) or 'registry' (a model-registry root)"
             )
-        if not isinstance(self.port, int) or not 0 <= self.port <= 65535:
+        for key, (types, expected) in _CONFIG_TYPES.items():
+            value = getattr(self, key)
+            if not isinstance(value, types) or (
+                isinstance(value, bool) and bool not in types
+            ):
+                raise ServiceConfigError(f"{key} must be {expected}, got {value!r}")
+        if not 0 <= self.port <= 65535:
             raise ServiceConfigError(f"port must be 0..65535, got {self.port!r}")
-        if int(self.max_batch_size) < 1:
+        if self.max_batch_size < 1:
             raise ServiceConfigError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size!r}"
             )
-        if float(self.max_wait_ms) < 0:
+        if self.max_wait_ms < 0:
             raise ServiceConfigError(
                 f"max_wait_ms must be >= 0, got {self.max_wait_ms!r}"
             )
-        if int(self.iterations) < 1:
-            raise ServiceConfigError(
-                f"iterations must be >= 1, got {self.iterations!r}"
-            )
-        if not float(self.drift_threshold) > 0:
+        if not self.drift_threshold > 0:
             raise ServiceConfigError(
                 f"drift_threshold must be > 0, got {self.drift_threshold!r}"
             )
@@ -206,11 +212,11 @@ class ServiceConfig:
                     f"and/or [options])"
                 )
             service.setdefault(key, value)
-        unknown = sorted(set(service) - _CONFIG_KEYS)
+        unknown = sorted(set(service) - set(_CONFIG_TYPES))
         if unknown:
             raise ServiceConfigError(
                 f"{origin}: unknown setting(s) {', '.join(map(repr, unknown))}; "
-                f"expected a subset of {sorted(_CONFIG_KEYS)}"
+                f"expected a subset of {sorted(_CONFIG_TYPES)}"
             )
         return cls(options=options, **service)
 

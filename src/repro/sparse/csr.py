@@ -410,11 +410,6 @@ class CSRMatrix:
         """Number of stored entries per row (read-only, computed once)."""
         return self._row_lengths
 
-    def row_slice(self, row: int) -> tuple:
-        """Return ``(col_indices, values)`` for a single row."""
-        start, stop = self.row_offsets[row], self.row_offsets[row + 1]
-        return self.col_indices[start:stop], self.values[start:stop]
-
     def spmv(self, x: np.ndarray) -> np.ndarray:
         """Reference sparse matrix-vector product ``y = A @ x``."""
         x = np.asarray(x, dtype=np.float64)

@@ -62,12 +62,6 @@ class ELLMatrix:
         return self.num_rows * self.max_row_length
 
     @property
-    def padding_ratio(self) -> float:
-        """Padded slots divided by nonzeros (1.0 means no waste)."""
-        nnz = self.nnz
-        return float(self.padded_size) / nnz if nnz else float("inf")
-
-    @property
     def shape(self) -> tuple:
         """``(num_rows, num_cols)``."""
         return (self.num_rows, self.num_cols)

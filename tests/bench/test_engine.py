@@ -60,7 +60,7 @@ def test_parallel_sweep_is_bit_identical_to_serial(tiny_sweep):
 
 def test_measure_specs_preserves_spec_order():
     specs = collection_specs("tiny")
-    engine = SweepEngine(jobs=3, chunks_per_job=2)
+    engine = SweepEngine(jobs=3)
     measurements = engine.measure_specs(specs, KERNELS)
     assert [m.name for m in measurements] == [spec.name for spec in specs]
 

@@ -1,11 +1,12 @@
 """Differential tests for the selector emitters.
 
-Four implementations of the same fitted trees must agree on every input:
-the recursive reference walk, the flattened :class:`CompiledTree`, the
+Three implementations of the same fitted trees must agree on every input:
+the flattened :class:`CompiledTree` every ``predict`` goes through, the
 generated Python module (exec'd) and — when a C++ compiler is available —
-the generated C++ header (compiled and run).  The emitters must also use
-one shared threshold literal, so the compiled and interpreted selectors
-branch on bit-identical constants.
+the generated C++ header (compiled and run).  The compiled tree itself is
+checked against a recursive walk in ``tests/serving/test_differential.py``.
+The emitters must also use one shared threshold literal, so the compiled
+and interpreted selectors branch on bit-identical constants.
 """
 
 import re

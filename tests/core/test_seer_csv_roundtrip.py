@@ -66,14 +66,12 @@ def test_csv_trained_predictor_agrees_with_in_memory(tiny_sweep, tmp_path):
     tiny_sweep.suite.save(tmp_path)
     runtime, preprocessing, features, known = _csv_paths(tmp_path)
     result = seer(runtime, preprocessing, features, known=known)
-    for sample in tiny_sweep.dataset.samples[:10]:
-        decision = result.predictor.predict_from_features(
-            tiny_sweep.suite.get(sample.name).known,
-            tiny_sweep.suite.get(sample.name).gathered,
-            sample.collection_time_ms,
-            name=sample.name,
-        )
-        assert decision.kernel_name in result.models.kernel_names
+    samples = tiny_sweep.dataset.samples[:10]
+    batch = result.predictor.models.predict_batch(
+        [tiny_sweep.suite.get(sample.name).known.as_vector() for sample in samples],
+        [tiny_sweep.suite.get(sample.name).gathered.as_vector() for sample in samples],
+    )
+    assert set(batch.kernels) <= set(result.models.kernel_names)
 
 
 def test_suite_save_load_round_trip_preserves_measurements(tiny_sweep, tmp_path):

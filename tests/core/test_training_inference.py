@@ -10,7 +10,6 @@ from repro.core.training import (
     train_seer_models,
 )
 from repro.sparse.collection import archetype
-from repro.sparse.features import GatheredFeatures, KnownFeatures
 
 
 def test_models_are_trained_and_shaped(tiny_sweep):
@@ -76,7 +75,7 @@ def test_predictor_decision_structure(tiny_sweep):
     assert decision.kernel_name in tiny_sweep.models.kernel_names
     assert decision.selector_choice in (USE_KNOWN, USE_GATHERED)
     assert decision.inference_time_ms > 0.0
-    if decision.collected_features:
+    if decision.selector_choice == USE_GATHERED:
         assert decision.collection_time_ms > 0.0
         assert decision.gathered.max_row_density > 0.0
     else:
@@ -101,19 +100,6 @@ def test_predictor_rejects_bad_iterations(tiny_sweep):
     record = archetype("G3_Circuit_like", scale=64)
     with pytest.raises(ValueError):
         tiny_sweep.predictor.predict(record.matrix, iterations=0)
-
-
-def test_predict_from_features_uses_precomputed_cost(tiny_sweep):
-    predictor = tiny_sweep.predictor
-    known = KnownFeatures(rows=100_000, cols=100_000, nnz=1_000_000, iterations=1)
-    gathered = GatheredFeatures(0.2, 0.0, 0.01, 0.001)
-    decision = predictor.predict_from_features(
-        known, gathered, collection_time_ms=0.5, name="synthetic"
-    )
-    if decision.collected_features:
-        assert decision.collection_time_ms == pytest.approx(0.5)
-    else:
-        assert decision.collection_time_ms == 0.0
 
 
 def test_cost_aware_selector_avoids_collection_on_tiny_inputs(small_sweep):

@@ -148,9 +148,6 @@ def test_gathered_feature_row_protocol():
 def test_feature_schema_names_and_describe():
     spmm = get_domain("spmm")
     assert "num_vectors" in spmm.known_feature_names
-    assert spmm.all_feature_names == (
-        spmm.known_feature_names + spmm.gathered_feature_names
-    )
     description = spmm.describe()
     assert description["name"] == "spmm"
     assert description["kernels"] == list(spmm.kernel_names())

@@ -107,8 +107,8 @@ def test_occupancy_counts_distinct_blocks_on_wrapped_rows():
     num_blocks = -(-matrix.num_cols // COLUMN_BLOCK)
     occupancy = np.array(
         [
-            np.unique(matrix.row_slice(row)[0] // COLUMN_BLOCK).shape[0] / num_blocks
-            for row in range(matrix.num_rows)
+            np.unique(cols // COLUMN_BLOCK).shape[0] / num_blocks
+            for cols in np.split(matrix.col_indices, matrix.row_offsets[1:-1])
         ]
     )
     features = spmm_gathered_features(_workload(matrix))
@@ -152,7 +152,9 @@ def test_spmm_dataset_uses_domain_schemas(spmm_sweep):
     dataset = spmm_sweep.dataset
     assert dataset.known_feature_names == SPMM.known_feature_names
     assert dataset.gathered_feature_names == SPMM.gathered_feature_names
-    assert dataset.full_feature_names == SPMM.all_feature_names
+    assert dataset.full_feature_names == (
+        SPMM.known_feature_names + SPMM.gathered_feature_names
+    )
     sample = dataset.samples[0]
     assert len(sample.known_vector) == len(SPMM.known_feature_names)
     assert len(sample.gathered_vector) == len(SPMM.gathered_feature_names)

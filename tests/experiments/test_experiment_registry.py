@@ -16,7 +16,6 @@ from repro.experiments.registry import (
     get_experiment,
     register_experiment,
     run_experiment,
-    unregister_experiment,
     write_artifact,
 )
 
@@ -65,7 +64,7 @@ def test_duplicate_registration_is_an_error():
         with pytest.raises(ValueError, match="already registered"):
             register_experiment("registry_test_experiment", title="t")(_runner)
     finally:
-        unregister_experiment("registry_test_experiment")
+        registry_module._EXPERIMENTS.pop("registry_test_experiment", None)
     assert "registry_test_experiment" not in experiment_names()
 
 

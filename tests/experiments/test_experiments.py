@@ -58,7 +58,8 @@ def test_table3_correlations(small_sweep):
             assert math.isnan(value) or 0.0 <= value <= 1.0
     # Work-oriented kernels track total work (nnz) at least as strongly as
     # the padded ELL kernel does.
-    assert result.row_for("CSR,WO")["nnz"] >= result.row_for("ELL,TM")["nnz"] - 1e-9
+    correlations = result.correlations
+    assert correlations["CSR,WO"]["nnz"] >= correlations["ELL,TM"]["nnz"] - 1e-9
     assert "Kendall" in result.render()
 
 

@@ -14,7 +14,6 @@ def test_builtin_devices_lookup():
 
 
 def test_derived_quantities():
-    assert MI100.lane_count == MI100.num_cus * MI100.simd_width
     assert MI100.cycle_time_ns == pytest.approx(1.0 / MI100.clock_ghz)
     assert MI100.launch_overhead_ms == pytest.approx(MI100.launch_overhead_us * 1e-3)
     assert MI100.host_transfer_ms == pytest.approx(MI100.host_transfer_us * 1e-3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml.decision_tree import DecisionTreeClassifier, gini_impurity
+from tree_importances import feature_importances
 
 
 def test_gini_impurity_values():
@@ -114,7 +115,7 @@ def test_feature_importances_sum_to_one_and_identify_signal():
     X = rng.uniform(size=(300, 3))
     y = (X[:, 1] > 0.5).astype(int)  # only feature 1 matters
     tree = DecisionTreeClassifier(max_depth=4).fit(X, y)
-    importances = tree.feature_importances()
+    importances = feature_importances(tree)
     assert importances.sum() == pytest.approx(1.0)
     assert int(np.argmax(importances)) == 1
 
@@ -145,19 +146,19 @@ def test_input_validation():
     with pytest.raises(ValueError):
         DecisionTreeClassifier(min_samples_leaf=0)
     tree = DecisionTreeClassifier()
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="used before fit"):
         tree.predict([[1.0]])
     with pytest.raises(RuntimeError, match="used before fit"):
-        tree.predict_batch([[1.0]])
+        tree.predict_proba([[1.0]])
     with pytest.raises(ValueError):
         tree.fit(np.ones((2, 2)), [0])
     with pytest.raises(ValueError):
         tree.fit(np.array([[np.nan], [1.0]]), [0, 1])
     fitted = DecisionTreeClassifier().fit([[0.0], [1.0]], [0, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="expected 1 features, got 2"):
         fitted.predict([[1.0, 2.0]])
     with pytest.raises(ValueError, match="expected 1 features, got 2"):
-        fitted.predict_batch([[1.0, 2.0]])
+        fitted.predict_proba([[1.0, 2.0]])
 
 
 def test_constant_features_produce_single_leaf():

@@ -11,6 +11,7 @@ from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.ml.kendall import kendall_tau
 from repro.ml.metrics import geometric_mean
 from repro.ml.split import train_test_split
+from tree_importances import feature_importances
 
 
 @st.composite
@@ -43,7 +44,7 @@ def test_depth_limit_is_always_respected(dataset, max_depth):
     X, y = dataset
     tree = DecisionTreeClassifier(max_depth=max_depth).fit(X, y)
     assert tree.depth() <= max_depth
-    importances = tree.feature_importances()
+    importances = feature_importances(tree)
     assert importances.shape == (X.shape[1],)
     assert math.isclose(importances.sum(), 1.0, abs_tol=1e-9) or importances.sum() == 0.0
     assert np.all(importances >= 0.0)

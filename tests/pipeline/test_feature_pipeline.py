@@ -125,8 +125,8 @@ def test_extract_from_source_matches_in_memory(tmp_path):
     path = tmp_path / "m.mtx"
     write_matrix_market(matrix, path)
     pipeline = domain.make_pipeline()
-    from_file = pipeline.extract_from_source(path, iterations=4)
-    in_memory = pipeline.extract(pipeline.load_workload(path), iterations=4)
+    from_file = pipeline.extract(pipeline.load_workload(path), iterations=4)
+    in_memory = pipeline.extract(domain.serving_workload(matrix, {}), iterations=4)
     np.testing.assert_array_equal(
         from_file.known.as_vector(), in_memory.known.as_vector()
     )
@@ -160,7 +160,7 @@ def test_sweep_and_predictor_share_the_pipeline_path():
     predictor = SeerPredictor(sweep.models, domain=domain, pipeline=pipeline)
     assert predictor.pipeline is pipeline
     decision = predictor.predict(workload, iterations=1, name="w")
-    if decision.collected_features:
+    if decision.selector_choice == "gathered":
         np.testing.assert_array_equal(
             decision.gathered.as_vector(), measurement.gathered.as_vector()
         )

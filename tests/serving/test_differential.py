@@ -1,10 +1,11 @@
-"""Differential tests: vectorized serving vs. the recursive reference.
+"""Differential tests: the compiled trees vs. the recursive walk.
 
-The compiled batch path and the artifact round-trip must be *exact*: for
-any fitted tree and any feature batch, ``predict_batch`` agrees element-wise
-with the recursive ``predict``, and a serialize/deserialize round trip
-changes no prediction.  Hypothesis drives random trees and random batches
-through both paths.
+Every prediction in ``src`` goes through the flattened tree, so it must be
+*exact*: for any fitted tree and any feature batch, ``predict`` and
+``predict_proba`` agree with the recursive walk over ``tree.root_``
+(``recursive_backend.leaf_for``), on both sides of the walk/vectorize
+crossover, and a serialize/deserialize round trip changes no prediction.
+Hypothesis drives random trees and random batches through both.
 """
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from repro.core.training import USE_GATHERED, USE_KNOWN, SeerModels
 from repro.ml.decision_tree import DecisionTreeClassifier
 from repro.ml.encoders import LabelEncoder
+from recursive_backend import RecursiveBackend, leaf_for, walk_predict
 from repro.serving.artifacts import (
     models_from_payload,
     models_to_payload,
@@ -67,10 +69,10 @@ def _both_branches(probes):
 
 @given(fitted_trees())
 @settings(max_examples=60, deadline=None)
-def test_predict_batch_agrees_with_recursive_predict(case):
+def test_predict_agrees_with_recursive_walk(case):
     tree, probes = case
     for batch in _both_branches(probes):
-        assert tree.predict_batch(batch) == tree.predict(batch)
+        assert tree.predict(batch) == walk_predict(tree, batch)
 
 
 @given(fitted_trees())
@@ -82,9 +84,8 @@ def test_payload_roundtrip_preserves_every_prediction(case):
     assert rebuilt.classes_ == tree.classes_
     assert rebuilt.num_nodes_ == tree.num_nodes_
     assert rebuilt.depth() == tree.depth()
-    assert rebuilt.predict(probes) == tree.predict(probes)
     for batch in _both_branches(probes):
-        assert rebuilt.predict_batch(batch) == tree.predict_batch(batch)
+        assert rebuilt.predict(batch) == walk_predict(tree, batch)
     assert tree_to_payload(rebuilt) == payload
 
 
@@ -95,7 +96,34 @@ def test_compiled_probabilities_reach_the_same_leaves(case):
     for batch in _both_branches(probes):
         codes = tree.compiled().predict_codes(batch)
         for sample, code in zip(batch, codes):
-            assert tree._leaf_for(sample).prediction == code
+            assert leaf_for(tree, sample).prediction == code
+
+
+def _walked_proba(tree, X) -> np.ndarray:
+    """Each row's leaf ``class_counts / total`` (zeros for a zero-weight leaf)."""
+    rows = np.zeros((len(X), len(tree.classes_)))
+    for i, sample in enumerate(X):
+        counts = leaf_for(tree, sample).class_counts
+        total = counts.sum()
+        if total:
+            rows[i] = counts / total
+    return rows
+
+
+@given(fitted_trees(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_predict_proba_is_the_walked_leaf_distribution_bit_for_bit(case, data):
+    tree, probes = case
+    # A zero-weight leaf: its probability row must come out all zeros.
+    for node in tree.nodes():
+        if node.is_leaf:
+            node.class_counts = np.zeros_like(node.class_counts)
+            break
+    for size in (1, WALK_MAX_ROWS, WALK_MAX_ROWS + 1, len(probes)):
+        start = data.draw(st.integers(min_value=0, max_value=len(probes) - size))
+        batch = probes[start : start + size]
+        expected = _walked_proba(tree, batch)
+        assert tree.predict_proba(batch).tobytes() == expected.tobytes()
 
 
 @st.composite
@@ -136,6 +164,7 @@ def seer_model_bundles(draw):
 def test_models_predict_batch_agrees_with_scalar_predicts(bundle):
     models, known_X, gathered_X = bundle
     batch = models.predict_batch(known_X, gathered_X)
+    assert batch == RecursiveBackend(models).predict_batch(known_X, gathered_X)
     assert list(batch.selector_choices) == [
         models.predict_selector(row) for row in known_X
     ]

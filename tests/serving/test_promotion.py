@@ -23,7 +23,11 @@ from repro.serving.promotion import (
     promote_from_feedback,
     split_feedback,
 )
-from repro.serving.registry import CURRENT_POINTER_FILE_NAME, ModelRegistry
+from repro.serving.registry import (
+    CURRENT_POINTER_FILE_NAME,
+    MANIFEST_FILE_NAME,
+    ModelRegistry,
+)
 from repro.serving.service import ModelHub, ServiceConfig
 from repro.sparse.generators import (
     banded_matrix,
@@ -67,6 +71,12 @@ def _sabotaged_models(dataset: TrainingDataset):
         gathered_feature_names=dataset.gathered_feature_names,
     )
     return train_seer_models(sabotaged, None)
+
+
+def _registry_manifest(registry, key: str):
+    """The ``manifest.json`` of the ``spmv/tiny`` artifact ``key``, or ``None``."""
+    path = registry.artifact_dir("spmv", "tiny", key) / MANIFEST_FILE_NAME
+    return json.loads(path.read_text()) if path.is_file() else None
 
 
 @pytest.fixture(scope="module")
@@ -206,9 +216,7 @@ def test_promotion_accepts_better_and_refuses_worse(tiny_sweep, corpus, tmp_path
         < manifest["incumbent"]["shadow"]["selector_slowdown_vs_oracle"]
     )
     # The candidate's registry manifest records its provenance and shadow.
-    candidate_manifest = registry.manifest_for(
-        "spmv", "tiny", accepted.candidate.key
-    )
+    candidate_manifest = _registry_manifest(registry, accepted.candidate.key)
     assert candidate_manifest["parent"] == "weak-incumbent"
     assert candidate_manifest["promotion_candidate"] is True
     assert "evaluation" in candidate_manifest
@@ -236,7 +244,7 @@ def test_promotion_accepts_better_and_refuses_worse(tiny_sweep, corpus, tmp_path
     )
     assert manifest["candidate_wins"] is False and manifest["promoted"] is False
     # The refused candidate is still registered for audit, unpromoted.
-    assert registry.manifest_for("spmv", "tiny", refused.candidate.key)
+    assert _registry_manifest(registry, refused.candidate.key)
     _, artifact_still = hub.resolve(None)
     assert artifact_still.path == artifact_after.path
 
@@ -263,7 +271,7 @@ def test_dry_run_writes_nothing_to_the_registry(tiny_sweep, corpus, tmp_path):
     )
     assert result.candidate_wins and not result.promoted and result.dry_run
     assert registry.resolve_current("spmv", "tiny") == "weak-incumbent"
-    assert registry.manifest_for("spmv", "tiny", result.candidate.key) is None
+    assert _registry_manifest(registry, result.candidate.key) is None
     manifest = json.loads((tmp_path / "dry" / PROMOTION_FILE_NAME).read_text())
     assert manifest["dry_run"] is True and manifest["promoted"] is False
 

@@ -111,8 +111,35 @@ def test_config_validates_ranges(model_path):
         ServiceConfig(model=model_path, max_wait_ms=-1.0)
     with pytest.raises(ServiceConfigError, match="port"):
         ServiceConfig(model=model_path, port=70000)
-    with pytest.raises(ServiceConfigError, match="iterations"):
-        ServiceConfig(model=model_path, iterations=0)
+    # Requests carry their own iteration count; the daemon has none to set.
+    with pytest.raises(ServiceConfigError, match=r"unknown setting\(s\) 'iterations'"):
+        ServiceConfig.from_mapping({"model": model_path, "iterations": 19})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_wait_ms", "abc"),
+        ("max_wait_ms", True),
+        ("max_batch_size", "8"),
+        ("max_batch_size", 8.0),
+        ("max_batch_size", True),
+        ("port", True),
+        ("port", "8091"),
+        ("drift_threshold", "0.1"),
+        ("drift_threshold", False),
+        ("host", 127),
+        ("profile", 1),
+        ("domain", 1),
+        ("model", 1),
+        ("cache_dir", ["a"]),
+        ("execute", "yes"),
+        ("execute", 1),
+    ],
+)
+def test_config_rejects_mistyped_settings_by_name(model_path, key, value):
+    with pytest.raises(ServiceConfigError, match=rf"^{key} must be "):
+        ServiceConfig.from_mapping({"model": model_path, key: value})
 
 
 def test_config_from_mapping_rejects_unknown_settings(model_path):

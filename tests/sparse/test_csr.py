@@ -63,9 +63,9 @@ def test_spmv_empty_matrix():
 def test_row_lengths_and_row_slice():
     csr = CSRMatrix.from_dense(_dense_example())
     np.testing.assert_array_equal(csr.row_lengths(), [2, 0, 2, 3, 0])
-    cols, values = csr.row_slice(3)
-    np.testing.assert_array_equal(cols, [1, 2, 3])
-    np.testing.assert_allclose(values, [5.0, 6.0, 7.0])
+    start, stop = csr.row_offsets[3], csr.row_offsets[4]
+    np.testing.assert_array_equal(csr.col_indices[start:stop], [1, 2, 3])
+    np.testing.assert_allclose(csr.values[start:stop], [5.0, 6.0, 7.0])
 
 
 def test_row_lengths_are_read_only_and_derived_once(monkeypatch):
@@ -123,8 +123,7 @@ def test_from_row_lengths_produces_requested_structure():
     csr = CSRMatrix.from_row_lengths(lengths, num_cols=16, rng=rng)
     np.testing.assert_array_equal(csr.row_lengths(), lengths)
     # Columns within each row are unique.
-    for row in range(csr.num_rows):
-        cols, _ = csr.row_slice(row)
+    for cols in np.split(csr.col_indices, csr.row_offsets[1:-1]):
         assert len(set(cols.tolist())) == len(cols)
 
 

@@ -76,8 +76,7 @@ def test_columns_expand_once():
 def test_generated_runs_stay_in_bounds_sorted_and_unique(lengths, num_cols, seed):
     matrix = gen.matrix_from_row_lengths(np.array(lengths), num_cols, rng=seed)
     matrix.validate()
-    for row in range(matrix.num_rows):
-        cols, _ = matrix.row_slice(row)
+    for cols in np.split(matrix.col_indices, matrix.row_offsets[1:-1]):
         assert np.all(np.diff(cols) > 0)
         assert cols.shape[0] == 0 or (cols.min() >= 0 and cols.max() < num_cols)
 

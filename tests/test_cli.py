@@ -396,6 +396,26 @@ def test_cli_daemon_rejects_bad_config(tmp_path):
         main(["serve", "--daemon", "--config", str(config)])
 
 
+def test_cli_daemon_reports_an_unreadable_model(tmp_path):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(SystemExit, match=r"^repro: error: cannot read model artifact"):
+        main(["serve", "--daemon", "--model", str(missing)])
+
+
+def test_cli_daemon_rejects_a_daemon_wide_iteration_count(tmp_path):
+    # Daemon requests carry their own iteration count.
+    missing = tmp_path / "missing.json"
+    with pytest.raises(SystemExit, match=r"^repro: error: --iterations .*'iterations' field"):
+        main(["serve", "--daemon", "--model", str(missing), "--iterations", "19"])
+
+
+def test_cli_daemon_rejects_a_mistyped_setting(tmp_path):
+    config = tmp_path / "service.toml"
+    config.write_text('[service]\nmodel = "m.json"\nmax_wait_ms = "abc"\n')
+    with pytest.raises(SystemExit, match="max_wait_ms must be a number, got 'abc'"):
+        main(["serve", "--daemon", "--config", str(config)])
+
+
 def test_cli_one_shot_serve_requires_a_corpus(tmp_path, capsys):
     model_path = _train_tiny(tmp_path, capsys)
     with pytest.raises(SystemExit, match="needs a corpus PATH"):
