@@ -58,7 +58,7 @@ def main() -> None:
     record = records[0]
     decision = result.predictor.predict(record.matrix, iterations=19, name=record.name)
     print(f"\nexample selection for {record.name!r} at 19 iterations: "
-          f"{decision.selector_choice} path -> {decision.kernel_name}")
+          f"{decision.selector_choice} path -> {decision.kernel}")
 
 
 if __name__ == "__main__":

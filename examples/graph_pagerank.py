@@ -70,7 +70,7 @@ def main() -> None:
           "(heavy-tailed, as real web graphs are)\n")
 
     decision = predictor.predict(graph, iterations=PAGERANK_ITERATIONS, name="web_graph")
-    print(f"Seer decision: {decision.selector_choice} path -> {decision.kernel_name} "
+    print(f"Seer decision: {decision.selector_choice} path -> {decision.kernel} "
           f"(selection overhead {decision.overhead_ms:.3f} ms)")
 
     totals = {}
@@ -79,18 +79,18 @@ def main() -> None:
             totals[kernel.name] = kernel.timing(graph).total_ms(PAGERANK_ITERATIONS)
         except UnsupportedKernelError:
             totals[kernel.name] = float("inf")
-    selected_ms = totals[decision.kernel_name] + decision.overhead_ms
+    selected_ms = totals[decision.kernel] + decision.overhead_ms
     best = min(totals, key=totals.get)
     worst = max(totals, key=lambda k: totals[k] if np.isfinite(totals[k]) else -1.0)
     print(f"simulated time for {PAGERANK_ITERATIONS} iterations:")
-    print(f"  Seer selection : {selected_ms:10.3f} ms ({decision.kernel_name})")
+    print(f"  Seer selection : {selected_ms:10.3f} ms ({decision.kernel})")
     print(f"  best fixed     : {totals[best]:10.3f} ms ({best})")
     finite_worst = totals[worst] if np.isfinite(totals[worst]) else max(
         t for t in totals.values() if np.isfinite(t)
     )
     print(f"  worst fixed    : {finite_worst:10.3f} ms ({worst})")
 
-    kernel = SPMV.make_kernel(decision.kernel_name)
+    kernel = SPMV.make_kernel(decision.kernel)
     rank = pagerank(graph, kernel, PAGERANK_ITERATIONS)
     top = np.argsort(rank)[::-1][:5]
     print("\ntop-5 pages by PageRank:")

@@ -80,7 +80,7 @@ def main() -> None:
     kernels = SPMV.default_kernels()
     for iterations in ITERATION_COUNTS:
         decision = predictor.predict(matrix, iterations=iterations, name=record.name)
-        selected = SPMV.make_kernel(decision.kernel_name)
+        selected = SPMV.make_kernel(decision.kernel)
         selected_timing = selected.timing(matrix)
         selected_total = decision.overhead_ms + selected_timing.total_ms(iterations)
 
@@ -93,7 +93,7 @@ def main() -> None:
         best_kernel = min(totals, key=totals.get)
 
         print(f"--- planned iterations: {iterations}")
-        print(f"    Seer path / kernel : {decision.selector_choice} -> {decision.kernel_name}")
+        print(f"    Seer path / kernel : {decision.selector_choice} -> {decision.kernel}")
         print(f"    Seer total (sim)   : {selected_total:.3f} ms")
         print(f"    best fixed kernel  : {best_kernel} ({totals[best_kernel]:.3f} ms)")
         worst_kernel = max(totals, key=totals.get)
@@ -102,10 +102,10 @@ def main() -> None:
     # Demonstrate that the numerics are real: run a short solve with the
     # kernel selected for the multi-iteration case.
     decision = predictor.predict(matrix, iterations=ITERATION_COUNTS[-1], name=record.name)
-    kernel = SPMV.make_kernel(decision.kernel_name)
+    kernel = SPMV.make_kernel(decision.kernel)
     x = jacobi_sweeps(matrix, diagonal, b, 25, kernel)
     residual = np.linalg.norm(b - matrix.spmv(x)) / np.linalg.norm(b)
-    print(f"\n25 Jacobi sweeps with {decision.kernel_name}: relative residual {residual:.2e}")
+    print(f"\n25 Jacobi sweeps with {decision.kernel}: relative residual {residual:.2e}")
 
 
 if __name__ == "__main__":

@@ -48,7 +48,7 @@ def main() -> None:
         print(f"\n  workload: {description}")
         print(f"    selector path     : {decision.selector_choice}"
               f" (collection {decision.collection_time_ms:.3f} ms)")
-        print(f"    selected kernel   : {decision.kernel_name}")
+        print(f"    selected kernel   : {decision.kernel}")
         print(f"    simulated runtime : {result.total_ms:.3f} ms "
               f"(y[0] = {result.run.y[0]:.3f})")
 

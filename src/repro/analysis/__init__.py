@@ -11,8 +11,6 @@ modules (:mod:`~repro.analysis.determinism`,
 
 from repro.analysis.engine import (
     AnalysisError,
-    Baseline,
-    BaselineEntry,
     Finding,
     LintReport,
     ModuleSource,
@@ -32,8 +30,6 @@ from repro.analysis.engine import (
 
 __all__ = [
     "AnalysisError",
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "LintReport",
     "ModuleSource",

@@ -16,9 +16,8 @@ The shape mirrors the repository's other registries (domains, experiments):
 * each rule receives a parsed :class:`ModuleSource` and yields
   :class:`Finding` records with ``file:line:col`` locations;
 * inline ``# repro-lint: disable=RULE[,RULE...]`` comments suppress
-  findings on their line (``disable=all`` suppresses every rule);
-* a committed baseline file (``analysis/baseline.json``) grandfathers
-  pre-existing findings so new rules can land strict without a flag day.
+  findings on their line (``disable=all`` suppresses every rule) — the
+  one way to silence a finding; there is no grandfathering file.
 
 :func:`lint_paths` drives files and directories through every selected
 rule; :func:`lint_source` runs the same machinery over an in-memory
@@ -33,10 +32,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
-
-#: Bumped when the baseline file layout changes.
-BASELINE_FORMAT_VERSION = 1
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 #: Inline suppression syntax: ``# repro-lint: disable=DET001,CONC002``.
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable=([A-Za-z0-9_*,\s]+)")
@@ -46,7 +42,7 @@ _RULE_ID_RE = re.compile(r"^[A-Z]{2,8}\d{3}$")
 
 
 class AnalysisError(ValueError):
-    """A lint invocation is invalid (unknown rule, unreadable baseline...)."""
+    """A lint invocation is invalid (unknown rule, missing path...)."""
 
 
 @dataclass(frozen=True)
@@ -250,7 +246,7 @@ def register_rule(
     ``scope`` is a sequence of fnmatch globs matched against the
     package-relative module path (``serving/service.py``); the default
     applies the rule everywhere.  Re-registering an ID is an error — rule
-    IDs are part of the suppression/baseline contract.
+    IDs are part of the inline-suppression contract.
     """
     if not _RULE_ID_RE.match(rule_id):
         raise AnalysisError(
@@ -324,110 +320,13 @@ def select_rules(
 
 
 # ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class BaselineEntry:
-    """One grandfathered finding: rule + module glob (+ optional symbol)."""
-
-    rule: str
-    module: str
-    symbol: str = ""
-
-    def matches(self, finding: Finding) -> bool:
-        if self.rule != finding.rule:
-            return False
-        if not fnmatch.fnmatch(finding.module, self.module):
-            return False
-        return not self.symbol or self.symbol == finding.symbol
-
-
-@dataclass(frozen=True)
-class Baseline:
-    """The committed set of grandfathered findings."""
-
-    entries: Tuple[BaselineEntry, ...] = ()
-
-    @classmethod
-    def from_payload(cls, payload: object, origin: str = "baseline") -> "Baseline":
-        if not isinstance(payload, dict):
-            raise AnalysisError(f"{origin}: baseline must be a JSON object")
-        version = payload.get("version")
-        if version != BASELINE_FORMAT_VERSION:
-            raise AnalysisError(
-                f"{origin}: unsupported baseline version {version!r} "
-                f"(expected {BASELINE_FORMAT_VERSION})"
-            )
-        raw_entries = payload.get("findings", [])
-        if not isinstance(raw_entries, list):
-            raise AnalysisError(f"{origin}: 'findings' must be a JSON array")
-        entries = []
-        for index, raw in enumerate(raw_entries):
-            if not isinstance(raw, dict) or "rule" not in raw or "module" not in raw:
-                raise AnalysisError(
-                    f"{origin}: findings[{index}] needs 'rule' and 'module' keys"
-                )
-            entries.append(
-                BaselineEntry(
-                    rule=str(raw["rule"]),
-                    module=str(raw["module"]),
-                    symbol=str(raw.get("symbol", "")),
-                )
-            )
-        return cls(entries=tuple(entries))
-
-    @classmethod
-    def from_file(cls, path: Union[str, Path]) -> "Baseline":
-        path = Path(path)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as error:
-            raise AnalysisError(f"{path}: unreadable baseline ({error})") from None
-        except json.JSONDecodeError as error:
-            raise AnalysisError(f"{path}: baseline is not valid JSON: {error}") from None
-        return cls.from_payload(payload, origin=str(path))
-
-    @classmethod
-    def from_findings(cls, findings: Iterable[Finding]) -> "Baseline":
-        """A baseline grandfathering exactly the given findings."""
-        entries = sorted(
-            {
-                BaselineEntry(rule=f.rule, module=f.module, symbol=f.symbol)
-                for f in findings
-            },
-            key=lambda entry: (entry.module, entry.rule, entry.symbol),
-        )
-        return cls(entries=tuple(entries))
-
-    def matches(self, finding: Finding) -> bool:
-        return any(entry.matches(finding) for entry in self.entries)
-
-    def to_payload(self) -> Dict[str, object]:
-        return {
-            "version": BASELINE_FORMAT_VERSION,
-            "findings": [
-                {
-                    "rule": entry.rule,
-                    "module": entry.module,
-                    **({"symbol": entry.symbol} if entry.symbol else {}),
-                }
-                for entry in self.entries
-            ],
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_payload(), indent=2, sort_keys=True) + "\n"
-
-
-# ----------------------------------------------------------------------
 # Running
 # ----------------------------------------------------------------------
 @dataclass
 class LintReport:
-    """Outcome of one lint run: new findings, baselined ones, coverage."""
+    """Outcome of one lint run: findings and coverage."""
 
     findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
     rules: Tuple[str, ...] = ()
 
@@ -491,7 +390,6 @@ def lint_paths(
     paths: Sequence[Union[str, Path]],
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    baseline: Optional[Baseline] = None,
 ) -> LintReport:
     """Lint files and directories; directories are walked recursively.
 
@@ -509,13 +407,8 @@ def lint_paths(
         for path in iter_python_files(target):
             module = ModuleSource.from_file(path, root=root)
             report.files_scanned += 1
-            for finding in lint_module(module, rules):
-                if baseline is not None and baseline.matches(finding):
-                    report.baselined.append(finding)
-                else:
-                    report.findings.append(finding)
+            report.findings.extend(lint_module(module, rules))
     report.findings.sort(key=Finding.sort_key)
-    report.baselined.sort(key=Finding.sort_key)
     return report
 
 
@@ -529,10 +422,9 @@ def package_dir() -> Path:
 def lint_package(
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
-    baseline: Optional[Baseline] = None,
 ) -> LintReport:
     """Lint the ``repro`` package itself (what CI and tier-1 tests run)."""
-    return lint_paths([package_dir()], select=select, ignore=ignore, baseline=baseline)
+    return lint_paths([package_dir()], select=select, ignore=ignore)
 
 
 # ----------------------------------------------------------------------
@@ -542,7 +434,7 @@ def render_text(report: LintReport) -> str:
     """Human-readable report: one ``file:line:col: RULE message`` per line."""
     lines = [finding.render() for finding in report.findings]
     summary = (
-        f"{len(report.findings)} finding(s), {len(report.baselined)} baselined, "
+        f"{len(report.findings)} finding(s), "
         f"{report.files_scanned} file(s) scanned, {len(report.rules)} rule(s)"
     )
     lines.append(summary)
@@ -553,7 +445,6 @@ def render_json(report: LintReport) -> str:
     """Machine-readable report (canonical: sorted keys, stable ordering)."""
     payload = {
         "findings": [finding.to_payload() for finding in report.findings],
-        "baselined": [finding.to_payload() for finding in report.baselined],
         "files_scanned": report.files_scanned,
         "rules": list(report.rules),
     }

@@ -476,15 +476,10 @@ def _cmd_bench_serve(args) -> int:
 # ----------------------------------------------------------------------
 # Static analysis: repro lint
 # ----------------------------------------------------------------------
-#: Default location of the committed grandfathered-findings baseline.
-DEFAULT_LINT_BASELINE = Path("analysis") / "baseline.json"
-
-
 def _cmd_lint(args) -> int:
     """Run the AST-based invariant checker (``repro lint``)."""
     from repro.analysis import (
         AnalysisError,
-        Baseline,
         all_rules,
         lint_paths,
         package_dir,
@@ -498,31 +493,12 @@ def _cmd_lint(args) -> int:
             print(f"{spec.id:<8} {spec.summary} [scope: {scope}]")
         return 0
 
-    baseline_path = Path(args.baseline) if args.baseline else DEFAULT_LINT_BASELINE
     try:
-        targets = args.paths or [package_dir()]
-        baseline = None
-        if not args.no_baseline and not args.write_baseline:
-            if args.baseline is not None and not baseline_path.is_file():
-                raise AnalysisError(f"{baseline_path}: no such baseline file")
-            if baseline_path.is_file():
-                baseline = Baseline.from_file(baseline_path)
         report = lint_paths(
-            targets, select=args.select, ignore=args.ignore, baseline=baseline
+            args.paths or [package_dir()], select=args.select, ignore=args.ignore
         )
     except AnalysisError as error:
         raise SystemExit(f"repro: error: {error}") from None
-
-    if args.write_baseline:
-        baseline_path.parent.mkdir(parents=True, exist_ok=True)
-        baseline_path.write_text(
-            Baseline.from_findings(report.findings).dumps(), encoding="utf-8"
-        )
-        print(
-            f"wrote {baseline_path} grandfathering {len(report.findings)} "
-            f"finding(s)"
-        )
-        return 0
     if args.format == "json":
         print(render_json(report))
     else:
@@ -833,19 +809,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--ignore", action="append", default=[], metavar="RULE",
         help="skip these rule IDs or prefixes; may be repeated",
-    )
-    lint.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="grandfathered-findings file "
-        f"(default: {DEFAULT_LINT_BASELINE} when present)",
-    )
-    lint.add_argument(
-        "--no-baseline", action="store_true",
-        help="report every finding, ignoring any baseline file",
-    )
-    lint.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0",
     )
     lint.add_argument(
         "--list-rules", action="store_true",

@@ -20,7 +20,7 @@ from repro.core.dataset import (
     TrainingSample,
     build_training_dataset,
 )
-from repro.core.inference import ExecutionResult, SelectionDecision, SeerPredictor
+from repro.core.inference import ExecutionResult, SeerPredictor
 from repro.core.seer import SeerResult, seer, suite_from_tables
 from repro.core.training import (
     USE_GATHERED,
@@ -46,7 +46,6 @@ __all__ = [
     "TrainingSample",
     "build_training_dataset",
     "ExecutionResult",
-    "SelectionDecision",
     "SeerPredictor",
     "SeerResult",
     "seer",

@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.training import USE_GATHERED, USE_KNOWN, SeerModels
+from repro.core.training import SeerModels
 from repro.domains import get_domain
 from repro.gpu.device import DeviceSpec, MI100
+from repro.kernels.base import LaunchContext
 
 #: Cost of evaluating one decision tree at runtime (milliseconds).  A tree of
 #: depth <= 8 is a few compares and branches; the value is deliberately tiny
@@ -25,30 +26,15 @@ from repro.gpu.device import DeviceSpec, MI100
 TREE_EVALUATION_MS = 0.0005
 
 
-@dataclass(frozen=True)
-class SelectionDecision:
-    """Outcome of one runtime kernel selection."""
-
-    matrix_name: str
-    iterations: int
-    selector_choice: str
-    kernel_name: str
-    known: object
-    gathered: object
-    collection_time_ms: float
-    inference_time_ms: float
-
-    @property
-    def overhead_ms(self) -> float:
-        """Total selection overhead: tree evaluations plus collection cost."""
-        return self.inference_time_ms + self.collection_time_ms
-
-
 @dataclass
 class ExecutionResult:
-    """A selection decision plus the execution of the selected kernel."""
+    """A selection decision plus the execution of the selected kernel.
 
-    decision: SelectionDecision
+    ``decision`` is the :class:`~repro.serving.requests.ServeResponse` of
+    :meth:`SeerPredictor.predict`.
+    """
+
+    decision: object
     run: object
 
     @property
@@ -72,7 +58,6 @@ class SeerPredictor:
         self,
         models: SeerModels,
         device: DeviceSpec = MI100,
-        collector=None,
         domain=None,
         pipeline=None,
     ):
@@ -80,73 +65,45 @@ class SeerPredictor:
         self.device = device
         self.domain = get_domain(domain)
         if pipeline is None:
-            pipeline = self.domain.make_pipeline(device, collector=collector)
+            pipeline = self.domain.make_pipeline(device)
         self.pipeline = pipeline
-
-    @property
-    def collector(self):
-        """The pipeline's feature collector (built lazily)."""
-        return self.pipeline.collector
 
     # ------------------------------------------------------------------
     # Prediction
     # ------------------------------------------------------------------
-    def predict(
-        self, workload, iterations: int = 1, name: str = "matrix"
-    ) -> SelectionDecision:
-        """Select a kernel for ``workload`` following the Fig. 3 flow."""
-        if iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        known = self.pipeline.known_features(workload, iterations)
-        known_vector = known.as_vector()
-        selector_choice = self.models.predict_selector(known_vector)
-        inference_ms = TREE_EVALUATION_MS  # the selector evaluation
-        if selector_choice == USE_GATHERED:
-            gathered = self.pipeline.gather(workload)
-            collection_ms = gathered.collection_time_ms
-            kernel_name = self.models.predict_gathered(
-                known_vector, gathered.as_vector()
-            )
-        else:
-            selector_choice = USE_KNOWN
-            gathered = self.domain.empty_gathered()
-            collection_ms = 0.0
-            kernel_name = self.models.predict_known(known_vector)
-        inference_ms += TREE_EVALUATION_MS  # the chosen classifier evaluation
-        return SelectionDecision(
-            matrix_name=name,
-            iterations=known.iterations,
-            selector_choice=selector_choice,
-            kernel_name=kernel_name,
-            known=known,
-            gathered=gathered,
-            collection_time_ms=collection_ms,
-            inference_time_ms=inference_ms,
+    def predict(self, workload, iterations: int = 1, name: str = "matrix"):
+        """Select a kernel for ``workload`` following the Fig. 3 flow.
+
+        The decision runs through the serving core
+        (:func:`~repro.serving.requests.decide_prepared`) without executing
+        the kernel, and comes back as its
+        :class:`~repro.serving.requests.ServeResponse`.
+        """
+        from repro.serving.requests import (
+            EvaluationStats,
+            PreparedRequest,
+            decide_prepared,
         )
 
-    def serve(self, request, cache=None, execute: bool = False):
-        """Serve one unified-API request through this predictor.
-
-        ``request`` is a :class:`~repro.serving.requests.ServeRequest` —
-        either a matrix reference (featurized through the predictor's
-        pipeline, optionally executing the chosen kernel when ``execute``)
-        or inline features.  Returns the matching
-        :class:`~repro.serving.requests.ServeResponse`; invalid requests
-        raise :class:`~repro.serving.requests.IngestError`.
-        """
-        from repro.serving.requests import evaluate_requests
-
-        responses, _ = evaluate_requests(
+        if iterations < 1:
+            raise ValueError("iterations must be >= 1")
+        item = PreparedRequest(
+            name=name,
+            known=self.pipeline.known_features(workload, iterations),
+            workload=workload,
+            context=LaunchContext.of(workload),
+        )
+        (response,) = decide_prepared(
             self.models,
-            [request],
+            [item],
+            self.models.predict_batch,
+            EvaluationStats(requests=1),
             domain=self.domain,
             device=self.device,
             pipeline=self.pipeline,
-            cache=cache,
-            execute=execute,
-            strict=True,
+            execute=False,
         )
-        return responses[0]
+        return response
 
     # ------------------------------------------------------------------
     # Execution
@@ -160,6 +117,6 @@ class SeerPredictor:
     ) -> ExecutionResult:
         """Select a kernel and run it on ``workload`` and ``x``."""
         decision = self.predict(workload, iterations, name)
-        kernel = self.domain.make_kernel(decision.kernel_name, self.device)
+        kernel = self.domain.make_kernel(decision.kernel, self.device)
         run = kernel.run(workload, x, iterations)
         return ExecutionResult(decision=decision, run=run)

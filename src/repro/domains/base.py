@@ -403,18 +403,18 @@ class ProblemDomain:
         """Build the feature collector running the gathered-feature kernels."""
         raise NotImplementedError
 
-    def make_pipeline(self, device: DeviceSpec = MI100, collector=None):
+    def make_pipeline(self, device: DeviceSpec = MI100):
         """Build the domain's :class:`~repro.pipeline.FeaturePipeline`.
 
         This is the one featurization path of the reproduction: the
         benchmark sweep, the runtime predictor and the raw-matrix serving
         layer all extract features through the pipeline this factory
         returns, so sweep-time and serve-time feature values can never
-        diverge.  The collector is built lazily unless one is supplied.
+        diverge.  The collector is built lazily.
         """
         from repro.pipeline import FeaturePipeline
 
-        return FeaturePipeline(domain=self, device=device, collector=collector)
+        return FeaturePipeline(domain=self, device=device)
 
     #: Workload-option names :meth:`serving_workload` understands; anything
     #: else passed through ``--workload-option`` is rejected loudly.

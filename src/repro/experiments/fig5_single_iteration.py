@@ -19,11 +19,9 @@ from dataclasses import dataclass, field
 
 from repro.bench.evaluation import EvaluationReport
 from repro.domains.spmv import SPMV
-from repro.experiments.common import format_table
+from repro.experiments.common import format_table, matrix_picks
 from repro.experiments.registry import ExperimentArtifact, register_experiment
-from repro.kernels.base import UnsupportedKernelError
 from repro.sparse.collection import archetype
-from repro.sparse.features import known_features
 
 #: Archetypes of the three matrices examined in Fig. 5a-c and the scales at
 #: which they are generated (large enough to be outside the launch-overhead
@@ -124,64 +122,26 @@ class Fig5Result:
 
 def _study_for_matrix(record, sweep) -> Fig5MatrixStudy:
     """Build the per-matrix bars (predictors first, then every kernel)."""
+    kernels = SPMV.default_kernels(sweep.predictor.device, include_aux=False)
+    picks = matrix_picks(sweep, record, 1, kernels)
     matrix = record.matrix
-    device = sweep.predictor.device
-    kernels = SPMV.default_kernels(device, include_aux=False)
-    timings = {}
-    for kernel in kernels:
-        try:
-            timings[kernel.name] = kernel.timing(matrix)
-        except UnsupportedKernelError:
-            timings[kernel.name] = None
-
-    finite = {
-        name: timing.total_ms(1) for name, timing in timings.items() if timing
-    }
-    oracle_kernel = min(finite, key=lambda name: (finite[name], name))
-    worst_ms = max(finite.values())
-
-    def total_for(kernel_name: str, overhead_ms: float = 0.0) -> float:
-        if timings.get(kernel_name) is None:
-            return worst_ms + overhead_ms
-        return timings[kernel_name].total_ms(1) + overhead_ms
-
     study = Fig5MatrixStudy(name=record.name, rows=matrix.num_rows, nnz=matrix.nnz)
-    study.bars.append(ApproachBar("Oracle", finite[oracle_kernel]))
-
-    # The deployed Seer flow (selector -> known or gathered path).
-    decision = sweep.predictor.predict(matrix, iterations=1, name=record.name)
+    study.bars.append(ApproachBar("Oracle", picks.oracle_ms))
+    # The deployed Seer flow (selector -> known or gathered path), then the
+    # always-gathered and always-known paths.
     study.bars.append(
-        ApproachBar(
-            "Selector",
-            total_for(decision.kernel_name, decision.overhead_ms),
-            decision.overhead_ms,
-        )
+        ApproachBar("Selector", picks.selector_ms, picks.selector.overhead_ms)
     )
-
-    # Always-gathered and always-known paths.
-    collection = sweep.predictor.collector.collect(matrix)
-    known = known_features(matrix, 1)
-    gathered_kernel = sweep.models.predict_gathered(
-        known.as_vector(), collection.features.as_vector()
-    )
-    study.bars.append(
-        ApproachBar(
-            "Gathered",
-            total_for(gathered_kernel, collection.collection_time_ms),
-            collection.collection_time_ms,
-        )
-    )
-    known_kernel = sweep.models.predict_known(known.as_vector())
-    study.bars.append(ApproachBar("Known", total_for(known_kernel)))
-
-    for kernel in kernels:
-        timing = timings[kernel.name]
-        if timing is None:
-            study.bars.append(ApproachBar(kernel.name, float("inf"), 0.0))
-        else:
-            study.bars.append(
-                ApproachBar(kernel.name, timing.total_ms(1), timing.preprocessing_ms)
+    study.bars.append(ApproachBar("Gathered", picks.gathered_ms, picks.collection_ms))
+    study.bars.append(ApproachBar("Known", picks.known_ms))
+    for name, timing in picks.timings.items():
+        study.bars.append(
+            ApproachBar(
+                name,
+                picks.totals_ms[name],
+                0.0 if timing is None else timing.preprocessing_ms,
             )
+        )
     return study
 
 

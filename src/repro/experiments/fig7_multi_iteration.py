@@ -23,9 +23,8 @@ import math
 from dataclasses import dataclass, field
 
 from repro.domains.spmv import SPMV
-from repro.experiments.common import format_table
+from repro.experiments.common import format_table, matrix_picks
 from repro.experiments.registry import ExperimentArtifact, register_experiment
-from repro.kernels.base import UnsupportedKernelError
 from repro.sparse.collection import archetype
 
 #: Archetypes of the Fig. 7 matrices and their generation scales.
@@ -138,47 +137,21 @@ class Fig7Result:
 
 
 def _case_for(record, iterations: int, sweep) -> Fig7Case:
-    matrix = record.matrix
-    device = sweep.predictor.device
-    kernels = SPMV.default_kernels(device)
-    totals = {}
-    for kernel in kernels:
-        try:
-            totals[kernel.name] = kernel.timing(matrix).total_ms(iterations)
-        except UnsupportedKernelError:
-            totals[kernel.name] = float("inf")
-    finite = {name: value for name, value in totals.items() if math.isfinite(value)}
-    oracle_kernel = min(finite, key=lambda name: (finite[name], name))
-    worst = max(finite.values())
-
-    def total_for(kernel_name: str, overhead_ms: float = 0.0) -> float:
-        base = totals.get(kernel_name, worst)
-        if not math.isfinite(base):
-            base = worst
-        return base + overhead_ms
-
-    decision = sweep.predictor.predict(matrix, iterations=iterations, name=record.name)
-    collection = sweep.predictor.collector.collect(matrix)
-    from repro.sparse.features import known_features  # local import to avoid cycle
-
-    known = known_features(matrix, iterations)
-    known_kernel = sweep.models.predict_known(known.as_vector())
-    gathered_kernel = sweep.models.predict_gathered(
-        known.as_vector(), collection.features.as_vector()
-    )
+    kernels = SPMV.default_kernels(sweep.predictor.device)
+    picks = matrix_picks(sweep, record, iterations, kernels)
     return Fig7Case(
         name=record.name,
         iterations=iterations,
-        oracle_kernel=oracle_kernel,
-        oracle_ms=finite[oracle_kernel],
-        selector_choice=decision.selector_choice,
-        selector_kernel=decision.kernel_name,
-        selector_ms=total_for(decision.kernel_name, decision.overhead_ms),
-        known_kernel=known_kernel,
-        known_ms=total_for(known_kernel),
-        gathered_kernel=gathered_kernel,
-        gathered_ms=total_for(gathered_kernel, collection.collection_time_ms),
-        kernel_totals_ms=totals,
+        oracle_kernel=picks.oracle,
+        oracle_ms=picks.oracle_ms,
+        selector_choice=picks.selector.selector_choice,
+        selector_kernel=picks.selector.kernel,
+        selector_ms=picks.selector_ms,
+        known_kernel=picks.known_kernel,
+        known_ms=picks.known_ms,
+        gathered_kernel=picks.gathered_kernel,
+        gathered_ms=picks.gathered_ms,
+        kernel_totals_ms=picks.totals_ms,
     )
 
 

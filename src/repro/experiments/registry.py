@@ -44,6 +44,9 @@ from repro.gpu.device import MI100, DeviceSpec
 #: Bumped whenever the on-disk artifact layout changes.
 ARTIFACT_FORMAT_VERSION = 1
 
+#: The manifest every artifact directory holds beside its CSV table.
+ARTIFACT_MANIFEST_FILE_NAME = "manifest.json"
+
 _EXPERIMENTS = {}
 
 
@@ -94,6 +97,32 @@ class ExperimentArtifact:
         for row in self.rows:
             writer.writerow([format_cell(cell) for cell in row])
         return buffer.getvalue()
+
+    def write(self, directory, data_name: str, manifest: dict) -> dict:
+        """Persist the table as ``data_name`` + ``manifest.json``.
+
+        ``manifest`` holds the caller's own keys; the format version, the
+        columns, the row count and the summary are added here, and the
+        document is written with sorted keys and no timestamps, so the same
+        result always writes the same bytes.  Returns ``{"dir": ...,
+        "data": ..., "manifest": ...}`` paths.
+        """
+        directory = Path(directory)
+        directory.mkdir(parents=True, exist_ok=True)
+        data_path = directory / data_name
+        data_path.write_text(self.to_csv(), encoding="utf-8")
+        manifest = dict(
+            manifest,
+            format_version=ARTIFACT_FORMAT_VERSION,
+            columns=list(self.columns),
+            row_count=len(self.rows),
+            summary=jsonable(self.summary),
+        )
+        manifest_path = directory / ARTIFACT_MANIFEST_FILE_NAME
+        manifest_path.write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+        return {"dir": directory, "data": data_path, "manifest": manifest_path}
 
 
 # ----------------------------------------------------------------------
@@ -301,12 +330,6 @@ def write_artifact(
     formatting), which is what the golden-artifact and warm/cold-parity
     regression tests assert.
     """
-    artifact = result.to_artifact()
-    directory = artifact_dir(out_dir, spec, context)
-    directory.mkdir(parents=True, exist_ok=True)
-    data_path = directory / "data.csv"
-    data_path.write_text(artifact.to_csv(), encoding="utf-8")
-
     # The engine's configuration documents how the artifact was produced;
     # its activity counters are excluded so a warm-cache rerun writes a
     # byte-identical manifest.
@@ -318,7 +341,6 @@ def write_artifact(
             if key != "stats"
         }
     manifest = {
-        "format_version": ARTIFACT_FORMAT_VERSION,
         "experiment": spec.name,
         "title": spec.title,
         "description": spec.description,
@@ -326,14 +348,9 @@ def write_artifact(
         "device": context.device.name,
         "profile": context.profile if spec.needs_sweep else None,
         "engine": engine_config,
-        "columns": list(artifact.columns),
-        "row_count": len(artifact.rows),
-        "summary": jsonable(artifact.summary),
     }
     if spec.needs_sweep:
         manifest["sweep_summary"] = jsonable(context.sweep().test_report.summary())
-    manifest_path = directory / "manifest.json"
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    return result.to_artifact().write(
+        artifact_dir(out_dir, spec, context), "data.csv", manifest
     )
-    return {"dir": directory, "data": data_path, "manifest": manifest_path}

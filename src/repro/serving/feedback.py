@@ -41,14 +41,17 @@ from repro.core.benchmarking import BenchmarkSuite, run_benchmark_suite
 from repro.core.dataset import TrainingDataset, TrainingSample, build_training_dataset
 from repro.domains import get_domain
 from repro.domains.base import jsonable
-from repro.experiments.registry import ARTIFACT_FORMAT_VERSION, ExperimentArtifact
+from repro.experiments.registry import (
+    ARTIFACT_MANIFEST_FILE_NAME,
+    ExperimentArtifact,
+)
 from repro.gpu.device import MI100, DeviceSpec
 from repro.ml.metrics import relative_error_to_oracle
 from repro.serving.ingest import ingest_records
 
 #: File names of one feedback run's artifact pair.
 FEEDBACK_FILE_NAME = "feedback.csv"
-FEEDBACK_MANIFEST_FILE_NAME = "manifest.json"
+FEEDBACK_MANIFEST_FILE_NAME = ARTIFACT_MANIFEST_FILE_NAME
 
 #: Prefix of the per-kernel end-to-end-time columns in ``feedback.csv``.
 KERNEL_COLUMN_PREFIX = "total_ms:"
@@ -244,13 +247,7 @@ def write_feedback_artifact(result: FeedbackResult, out_dir, model_info=None) ->
     unchanged corpus with an unchanged model writes byte-identical files —
     golden-testable, and safe for the promotion workflow to hash.
     """
-    artifact = result.to_artifact()
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    data_path = directory / FEEDBACK_FILE_NAME
-    data_path.write_text(artifact.to_csv(), encoding="utf-8")
     manifest = {
-        "format_version": ARTIFACT_FORMAT_VERSION,
         "experiment": "feedback",
         "title": "Measured serving feedback vs the oracle",
         "description": (
@@ -260,16 +257,9 @@ def write_feedback_artifact(result: FeedbackResult, out_dir, model_info=None) ->
         "domain": result.domain.describe(),
         "device": result.device_name,
         "iterations": result.iterations,
-        "columns": list(artifact.columns),
-        "row_count": len(artifact.rows),
-        "summary": jsonable(artifact.summary),
         "model": jsonable(model_info) if model_info else None,
     }
-    manifest_path = directory / FEEDBACK_MANIFEST_FILE_NAME
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return {"dir": directory, "data": data_path, "manifest": manifest_path}
+    return result.to_artifact().write(out_dir, FEEDBACK_FILE_NAME, manifest)
 
 
 def load_feedback_dataset(path, domain=None) -> TrainingDataset:

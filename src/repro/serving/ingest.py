@@ -34,7 +34,6 @@ Scaling machinery is reused from the sweep engine:
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -49,7 +48,7 @@ from repro.bench.engine import (
 from repro.domains import get_domain
 from repro.domains.base import jsonable
 from repro.experiments.registry import (
-    ARTIFACT_FORMAT_VERSION,
+    ARTIFACT_MANIFEST_FILE_NAME,
     ExperimentArtifact,
 )
 from repro.gpu.device import MI100, DeviceSpec
@@ -60,7 +59,11 @@ from repro.pipeline.sources import (
     resolve_source,
     source_digest,
 )
-from repro.serving.requests import evaluate_requests, requests_from_sources
+from repro.serving.requests import (
+    EvaluationStats,
+    evaluate_requests,
+    requests_from_sources,
+)
 from repro.sparse import io as sparse_io
 from repro.sparse.coo import SparseFormatError
 from repro.sparse.csr import CSRMatrix
@@ -72,7 +75,7 @@ INGEST_FORMAT_VERSION = 3
 
 #: File names of one serve run's artifact pair.
 DECISIONS_FILE_NAME = "decisions.csv"
-SERVE_MANIFEST_FILE_NAME = "manifest.json"
+SERVE_MANIFEST_FILE_NAME = ARTIFACT_MANIFEST_FILE_NAME
 
 
 # ----------------------------------------------------------------------
@@ -198,32 +201,19 @@ def ingest_records(target, domain=None, cache_dir=None, options=None) -> list:
 # Serving
 # ----------------------------------------------------------------------
 @dataclass
-class ServeStats:
-    """Counters describing what a serve run actually did."""
-
-    matrices_ingested: int = 0
-    ingest_cache_hits: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "matrices_ingested": self.matrices_ingested,
-            "ingest_cache_hits": self.ingest_cache_hits,
-        }
-
-
-@dataclass
 class ServeResult:
     """All decisions of one ``repro serve`` run, in corpus order.
 
     ``decisions`` holds the :class:`~repro.serving.requests.ServeResponse`
-    of every source.
+    of every source; ``stats`` the serving core's counters, summed over
+    chunks.
     """
 
     domain_name: str
     device_name: str
     iterations: int
     decisions: list
-    stats: ServeStats = field(default_factory=ServeStats)
+    stats: EvaluationStats = field(default_factory=EvaluationStats)
 
     def __len__(self) -> int:
         return len(self.decisions)
@@ -237,9 +227,7 @@ class ServeResult:
         gathered = sum(1 for d in self.decisions if d.selector_choice == "gathered")
         unsupported = sum(1 for d in self.decisions if not d.supported)
         finite = [d.total_ms for d in self.decisions if math.isfinite(d.total_ms)]
-        overhead = sum(
-            d.collection_time_ms + d.inference_time_ms for d in self.decisions
-        )
+        overhead = sum(d.overhead_ms for d in self.decisions)
         return {
             "workloads": len(self.decisions),
             "gathered_routed": gathered,
@@ -320,17 +308,16 @@ def _serve_chunk(
     registered domains pickle by name and resolve to the worker's singleton,
     exactly as the engine's benchmark workers handle it.  The chunk goes
     through the unified serving core as one admission batch
-    (:func:`repro.serving.requests.evaluate_requests`), whose vectorized
-    tree passes are element-wise identical to the serial predictor flow —
-    featurization and the simulated timings stay deterministic.  Returns
-    ``(responses, ingested, cache_hits)``.
+    (:func:`repro.serving.requests.evaluate_requests`); featurization and
+    the simulated timings are deterministic.  Returns ``(responses,
+    stats)``.
     """
     domain = get_domain(domain)
     cache = IngestCache(cache_dir) if cache_dir is not None else None
     requests = requests_from_sources(
         sources, iterations=iterations, options=options or {}
     )
-    responses, stats = evaluate_requests(
+    return evaluate_requests(
         models,
         requests,
         domain=domain,
@@ -339,7 +326,6 @@ def _serve_chunk(
         execute=True,
         strict=True,
     )
-    return responses, stats.matrices_ingested, stats.ingest_cache_hits
 
 
 def serve_sources(
@@ -379,10 +365,9 @@ def serve_sources(
         iterations=iterations,
         decisions=[],
     )
-    for decisions, ingested, hits in chunk_results:
+    for decisions, stats in chunk_results:
         result.decisions.extend(decisions)
-        result.stats.matrices_ingested += ingested
-        result.stats.ingest_cache_hits += hits
+        result.stats.add(stats)
     return result
 
 
@@ -394,16 +379,10 @@ def write_serve_artifact(result: ServeResult, out_dir, model_info=None) -> dict:
     stats are deliberately excluded, so a warm-cache re-serve (or a
     ``--jobs N`` run) writes byte-identical files.
     """
-    artifact = result.to_artifact()
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    data_path = directory / DECISIONS_FILE_NAME
-    data_path.write_text(artifact.to_csv(), encoding="utf-8")
     kinds = {}
     for decision in result.decisions:
         kinds[decision.kind] = kinds.get(decision.kind, 0) + 1
     manifest = {
-        "format_version": ARTIFACT_FORMAT_VERSION,
         "experiment": "serve",
         "title": "Raw-matrix serving decisions",
         "description": (
@@ -413,14 +392,7 @@ def write_serve_artifact(result: ServeResult, out_dir, model_info=None) -> dict:
         "domain": result.domain.describe(),
         "device": result.device_name,
         "iterations": result.iterations,
-        "columns": list(artifact.columns),
-        "row_count": len(artifact.rows),
         "sources": {"count": len(result.decisions), "kinds": kinds},
-        "summary": jsonable(artifact.summary),
         "model": jsonable(model_info) if model_info else None,
     }
-    manifest_path = directory / SERVE_MANIFEST_FILE_NAME
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return {"dir": directory, "data": data_path, "manifest": manifest_path}
+    return result.to_artifact().write(out_dir, DECISIONS_FILE_NAME, manifest)

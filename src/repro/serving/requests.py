@@ -19,10 +19,11 @@ those paths onto one stable pair of dataclasses:
 It is *admission-batched*: however many requests arrive in one call, all
 selector/classifier tree evaluations run through two
 :meth:`~repro.core.training.SeerModels.predict_batch` calls over the
-compiled trees instead of one decision per request, while remaining
-element-wise identical to the serial
-:meth:`~repro.core.inference.SeerPredictor.predict` flow.  The persistent daemon (:mod:`repro.serving.service`) coalesces
-concurrent single requests into exactly these batches.
+compiled trees instead of one decision per request.  Its Fig. 3 pass,
+:func:`decide_prepared`, is the one decision implementation:
+:meth:`~repro.core.inference.SeerPredictor.predict` runs it over a single
+in-memory workload.  The persistent daemon (:mod:`repro.serving.service`)
+coalesces concurrent single requests into exactly these batches.
 
 The column-validation helpers (:func:`feature_vector`,
 :func:`feature_matrix`) live here too, so a missing feature column produces
@@ -378,11 +379,14 @@ class ServeResponse:
         return self.preprocessing_ms + self.iterations * self.runtime_ms
 
     @property
+    def overhead_ms(self) -> float:
+        """Selection overhead: feature collection plus tree evaluations."""
+        return self.collection_time_ms + self.inference_time_ms
+
+    @property
     def total_ms(self) -> float:
         """Selection overhead plus kernel execution, end to end."""
-        return (
-            self.collection_time_ms + self.inference_time_ms + self.kernel_total_ms
-        )
+        return self.overhead_ms + self.kernel_total_ms
 
     def to_payload(self) -> Dict[str, object]:
         """JSON-serializable form of the response (the daemon wire shape)."""
@@ -433,26 +437,23 @@ class EvaluationStats:
     gathered_routed: int = 0
     failures: int = 0
 
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "requests": self.requests,
-            "inline_requests": self.inline_requests,
-            "source_requests": self.source_requests,
-            "matrices_ingested": self.matrices_ingested,
-            "ingest_cache_hits": self.ingest_cache_hits,
-            "gathered_routed": self.gathered_routed,
-            "failures": self.failures,
-        }
+    def add(self, other: "EvaluationStats") -> None:
+        """Fold another call's counters into these (chunked serve runs)."""
+        for name, value in vars(other).items():
+            setattr(self, name, getattr(self, name) + value)
 
 
 # ----------------------------------------------------------------------
 # The admission-batched serving core
 # ----------------------------------------------------------------------
 @dataclass
-class _Prepared:
-    """One request after ingestion/featurization, awaiting inference."""
+class PreparedRequest:
+    """One workload after ingestion/featurization, awaiting inference.
 
-    request: ServeRequest
+    Matrix-backed items carry their ``workload`` (gathered on demand);
+    inline-feature items may carry ``gathered_inline`` instead.
+    """
+
     name: str
     known: KnownFeatureRow
     source: str = ""
@@ -472,7 +473,7 @@ def _prepare_request(
     pipeline: "Optional[FeaturePipeline]",
     cache: "Optional[IngestCache]",
     stats: EvaluationStats,
-) -> _Prepared:
+) -> PreparedRequest:
     """Resolve one request to features; raises :class:`IngestError` on bad input."""
     from repro.serving.ingest import ingest_matrix
 
@@ -507,8 +508,7 @@ def _prepare_request(
                 names=tuple(models.gathered_feature_names),
                 values=tuple(gathered_values),
             )
-        return _Prepared(
-            request=request,
+        return PreparedRequest(
             name=request.name or "matrix",
             known=known,
             gathered_inline=gathered_inline,
@@ -529,8 +529,7 @@ def _prepare_request(
     except ValueError as error:
         raise IngestError(f"{label}: {error}") from None
     known = pipeline.known_features(workload, request.iterations)
-    return _Prepared(
-        request=request,
+    return PreparedRequest(
         name=request.name or source.name,
         known=known,
         source=source.location,
@@ -567,12 +566,10 @@ def evaluate_requests(
 
     This is the single serving core: the daemon's admission batches, the
     one-shot ``repro serve`` corpus loop and ``repro predict --batch`` all
-    call it.  All selector/classifier tree evaluations for the whole batch
-    run through :meth:`SeerModels.predict_batch` (two vectorized passes —
-    one over the known features, one over the gathered-routed subset), so
-    the per-request inference cost is amortized across the admission window
-    while every decision stays element-wise identical to the serial
-    :meth:`~repro.core.inference.SeerPredictor.predict` flow.
+    call it.  Each request is prepared (ingested and featurized, or its
+    inline features validated), then :func:`decide_prepared` decides the
+    whole batch at once, so the per-request inference cost is amortized
+    across the admission window.
 
     Decisions come from :class:`~repro.serving.backends.CompiledBackend`;
     ``backend`` substitutes any object with the same ``predict_batch`` —
@@ -587,8 +584,6 @@ def evaluate_requests(
     Returns ``(results, stats)`` with one :class:`ServeResponse` or
     :class:`ServeFailure` per request, in request order.
     """
-    from repro.core.inference import TREE_EVALUATION_MS
-
     predict_batch = (CompiledBackend(models) if backend is None else backend).predict_batch
     requests = list(requests)
     stats = EvaluationStats(requests=len(requests))
@@ -597,8 +592,8 @@ def evaluate_requests(
         pipeline = domain.make_pipeline(device)
 
     results: List[Union[ServeResponse, ServeFailure, None]] = [None] * len(requests)
-    prepared: List[_Prepared] = []
-    prepared_slots: List[Optional[int]] = []
+    prepared: List[PreparedRequest] = []
+    prepared_slots: List[int] = []
     for index, request in enumerate(requests):
         try:
             item = _prepare_request(
@@ -615,19 +610,59 @@ def evaluate_requests(
         prepared.append(item)
         prepared_slots.append(index)
 
-    if not prepared:
-        return results, stats
+    decided = decide_prepared(
+        models,
+        prepared,
+        predict_batch,
+        stats,
+        domain=domain,
+        device=device,
+        pipeline=pipeline,
+        execute=execute,
+        strict=strict,
+    )
+    for slot, result in zip(prepared_slots, decided):
+        results[slot] = result
+    return results, stats
+
+
+def decide_prepared(
+    models: SeerModels,
+    items: Sequence[PreparedRequest],
+    predict_batch,
+    stats: EvaluationStats,
+    domain: "Optional[ProblemDomain]" = None,
+    device: DeviceSpec = MI100,
+    pipeline: "Optional[FeaturePipeline]" = None,
+    execute: bool = True,
+    strict: bool = True,
+) -> List[Union[ServeResponse, ServeFailure]]:
+    """The Fig. 3 runtime flow over prepared items, one result per item.
+
+    Two vectorized ``predict_batch`` passes decide every item: one over the
+    known features (selector routing and the known-path kernel), one over
+    the gathered-routed subset, whose features are collected (or taken
+    inline) only for those rows.  With ``execute``, matrix-backed items
+    also time the chosen kernel.  ``stats`` counts gathered routings and
+    failures; a gathered-routed inline item without gathered features is a
+    :class:`ServeFailure` (or raises, with ``strict``).
+    """
+    from repro.core.inference import TREE_EVALUATION_MS
+
+    results: List[Union[ServeResponse, ServeFailure, None]] = [None] * len(items)
+    if not items:
+        return results
 
     # One vectorized pass decides the routing and the known-path kernel for
     # the entire admission window.
-    known_matrix = np.stack([item.known.as_vector() for item in prepared])
+    known_matrix = np.stack([item.known.as_vector() for item in items])
     first_pass = predict_batch(known_matrix)
 
     # Collect (or accept inline) gathered features only for the rows the
     # selector actually routes through the paid path — exactly the Fig. 3
     # flow — then run the gathered classifier over that subset in one pass.
     routed: List[Tuple[int, GatheredFeatureRow]] = []
-    for position, item in enumerate(prepared):
+    for position, item in enumerate(items):
         if first_pass.selector_choices[position] != USE_GATHERED:
             continue
         if item.workload is not None:
@@ -644,10 +679,7 @@ def evaluate_requests(
             if strict:
                 raise IngestError(message)
             stats.failures += 1
-            results[prepared_slots[position]] = ServeFailure(
-                name=item.name, error=message
-            )
-            prepared_slots[position] = None
+            results[position] = ServeFailure(name=item.name, error=message)
             continue
         routed.append((position, gathered))
 
@@ -663,9 +695,8 @@ def evaluate_requests(
         ):
             gathered_kernels[position] = (kernel, gathered)
 
-    for position, item in enumerate(prepared):
-        slot = prepared_slots[position]
-        if slot is None:
+    for position, item in enumerate(items):
+        if results[position] is not None:
             continue
         if position in gathered_kernels:
             kernel_name, gathered = gathered_kernels[position]
@@ -691,7 +722,7 @@ def evaluate_requests(
             except UnsupportedKernelError:
                 supported = False
                 runtime_ms = math.inf
-        results[slot] = ServeResponse(
+        results[position] = ServeResponse(
             name=item.name,
             selector_choice=selector_choice,
             kernel=kernel_name,
@@ -706,4 +737,4 @@ def evaluate_requests(
             preprocessing_ms=preprocessing_ms,
             runtime_ms=runtime_ms,
         )
-    return results, stats
+    return results

@@ -310,9 +310,7 @@ class ModelHub:
         it was loaded from: when a promotion moves the key's ``current``
         pointer, the next resolve sees the new path and hot-reloads.
         """
-        key = selector or ("default" if self.config.model is not None else None)
-        if key is None:
-            key = self.default_key
+        key = selector or self.default_key
         with self._lock:
             path = self._model_path(key)
             entry = self._artifacts.get(key)
@@ -386,7 +384,10 @@ class ServiceMetrics:
             else:
                 self.drain_flushes += 1
 
-    def record_results(self, results, stats, latencies_ms) -> None:
+    def record_results(self, results, stats=None) -> None:
+        """Count served results plus, if given, the
+        :class:`~repro.serving.requests.EvaluationStats` of the
+        ``evaluate_requests`` call that produced them."""
         with self._lock:
             self.requests_total += len(results)
             self.responses_total += sum(
@@ -395,14 +396,18 @@ class ServiceMetrics:
             self.failures_total += sum(
                 1 for r in results if isinstance(r, ServeFailure)
             )
-            self.inline_requests += stats.inline_requests
-            self.source_requests += stats.source_requests
-            self.matrices_ingested += stats.matrices_ingested
-            self.ingest_cache_hits += stats.ingest_cache_hits
-            self.gathered_routed += stats.gathered_routed
-            for latency in latencies_ms:
-                self.latency_ms_sum += latency
-                self.latency_ms_max = max(self.latency_ms_max, latency)
+            if stats is not None:
+                self.inline_requests += stats.inline_requests
+                self.source_requests += stats.source_requests
+                self.matrices_ingested += stats.matrices_ingested
+                self.ingest_cache_hits += stats.ingest_cache_hits
+                self.gathered_routed += stats.gathered_routed
+
+    def record_latency(self, latency_ms: float) -> None:
+        """One successful request's (or client batch's) latency."""
+        with self._lock:
+            self.latency_ms_sum += latency_ms
+            self.latency_ms_max = max(self.latency_ms_max, latency_ms)
 
     def record_digest_memo_hit(self) -> None:
         with self._lock:
@@ -864,9 +869,7 @@ class _Handler(BaseHTTPRequestHandler):
         except IngestError as error:
             latency_ms = (time.monotonic() - started) * 1000.0
             service.metrics.record_results(
-                [ServeFailure(name="request", error=str(error))],
-                _EMPTY_STATS,
-                [],
+                [ServeFailure(name="request", error=str(error))]
             )
             service.metrics.record_error(latency_ms)
             self._send_json(400, {"error": str(error)})
@@ -881,7 +884,7 @@ class _Handler(BaseHTTPRequestHandler):
             service.metrics.record_error(latency_ms)
             self._send_json(400, result.to_payload())
         else:
-            service.metrics.record_results([], _EMPTY_STATS, [latency_ms])
+            service.metrics.record_latency(latency_ms)
             self._send_json(200, result.to_payload())
 
     def _serve_many(self, service, payload) -> None:
@@ -904,7 +907,7 @@ class _Handler(BaseHTTPRequestHandler):
                 )
                 # Pre-failed slots never reach evaluate_requests, so count
                 # them here or they vanish from requests/failures entirely.
-                service.metrics.record_results([failure], _EMPTY_STATS, [])
+                service.metrics.record_results([failure])
                 requests.append(failure)
         # A client-assembled list is already a batch: serve it as one window
         # instead of trickling it through the admission queue.
@@ -922,7 +925,7 @@ class _Handler(BaseHTTPRequestHandler):
         for _ in range(failed):
             service.metrics.record_error(share_ms)
         if failed < len(results):
-            service.metrics.record_results([], _EMPTY_STATS, [latency_ms])
+            service.metrics.record_latency(latency_ms)
         self._send_json(
             200,
             {
@@ -930,17 +933,6 @@ class _Handler(BaseHTTPRequestHandler):
                 "batch_size": len(results),
             },
         )
-
-
-class _EmptyStats:
-    inline_requests = 0
-    source_requests = 0
-    matrices_ingested = 0
-    ingest_cache_hits = 0
-    gathered_routed = 0
-
-
-_EMPTY_STATS = _EmptyStats()
 
 
 class ServingService:
@@ -1016,7 +1008,7 @@ class ServingService:
                 )
                 # Model-resolution failures bypass evaluate_requests; count
                 # them so the request/failure totals stay exhaustive.
-                self.metrics.record_results([results[index]], _EMPTY_STATS, [])
+                self.metrics.record_results([results[index]])
                 continue
             slots, group = groups.setdefault(key, ([], []))
             slots.append(index)
@@ -1036,7 +1028,7 @@ class ServingService:
                 execute=self.config.execute,
                 strict=False,
             )
-            self.metrics.record_results(group_results, stats, [])
+            self.metrics.record_results(group_results, stats)
             for slot, result in zip(slots, group_results):
                 results[slot] = result
         if reason is not None:

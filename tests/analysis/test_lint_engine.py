@@ -1,4 +1,4 @@
-"""Engine-level tests for ``repro.analysis``: selection, suppression, baseline.
+"""Engine-level tests for ``repro.analysis``: selection and suppression.
 
 Rule-specific behaviour lives in ``test_lint_rules.py``; this file covers the
 machinery every rule rides on, plus a hypothesis fuzzer asserting the engine
@@ -7,23 +7,18 @@ never crashes on arbitrary (grammar-generated) valid Python.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
     AnalysisError,
-    Baseline,
-    BaselineEntry,
-    Finding,
     lint_paths,
     lint_source,
     rule_ids,
     select_rules,
 )
-from repro.analysis.engine import BASELINE_FORMAT_VERSION, register_rule
+from repro.analysis.engine import register_rule
 
 UNSORTED_JSON = "import json\n\ndef f(obj):\n    return json.dumps(obj)\n"
 
@@ -117,60 +112,13 @@ def test_suppression_is_per_line():
     assert [(f.rule, f.line) for f in findings] == [("DET004", 3)]
 
 
-# ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-def test_baseline_roundtrip_and_matching():
-    findings = lint_source(UNSORTED_JSON, module="bench/x.py")
-    baseline = Baseline.from_findings(findings)
-    payload = json.loads(baseline.dumps())
-    assert payload["version"] == BASELINE_FORMAT_VERSION
-    reloaded = Baseline.from_payload(payload)
-    assert all(reloaded.matches(f) for f in findings)
-    other = Finding(
-        rule="DET001", path="x", module="bench/x.py", line=1, col=1, message="m"
-    )
-    assert not reloaded.matches(other)
-
-
-def test_baseline_module_globs_and_symbols():
-    entry = BaselineEntry(rule="CONC001", module="serving/*.py", symbol="Hub.cache")
-    hit = Finding(
-        rule="CONC001", path="p", module="serving/service.py",
-        line=3, col=1, message="m", symbol="Hub.cache",
-    )
-    assert entry.matches(hit)
-    assert not entry.matches(
-        Finding(rule="CONC001", path="p", module="serving/service.py",
-                line=3, col=1, message="m", symbol="Hub.other")
-    )
-    assert not entry.matches(
-        Finding(rule="CONC001", path="p", module="core/service.py",
-                line=3, col=1, message="m", symbol="Hub.cache")
-    )
-
-
-def test_baseline_rejects_wrong_version_and_shape():
-    with pytest.raises(AnalysisError, match="unsupported baseline version"):
-        Baseline.from_payload({"version": 99, "findings": []})
-    with pytest.raises(AnalysisError, match="JSON object"):
-        Baseline.from_payload([1, 2])
-    with pytest.raises(AnalysisError, match="needs 'rule' and 'module'"):
-        Baseline.from_payload(
-            {"version": BASELINE_FORMAT_VERSION, "findings": [{"rule": "X"}]}
-        )
-
-
-def test_lint_paths_applies_baseline(tmp_path):
+def test_lint_paths_reports_file_findings(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text(UNSORTED_JSON, encoding="utf-8")
-    dirty = lint_paths([bad])
-    assert [f.rule for f in dirty.findings] == ["DET004"]
-    baseline = Baseline.from_findings(dirty.findings)
-    clean = lint_paths([bad], baseline=baseline)
-    assert clean.clean
-    assert [f.rule for f in clean.baselined] == ["DET004"]
-    assert clean.files_scanned == 1
+    report = lint_paths([bad])
+    assert [f.rule for f in report.findings] == ["DET004"]
+    assert not report.clean
+    assert report.files_scanned == 1
 
 
 def test_lint_paths_rejects_missing_target(tmp_path):

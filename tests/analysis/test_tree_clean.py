@@ -2,39 +2,23 @@
 
 This is the test the whole subsystem exists for — every determinism,
 concurrency and conformance rule runs over ``src/repro`` itself, and any
-non-baselined finding fails the suite with the same ``file:line`` output
+finding fails the suite with the same ``file:line`` output
 ``repro lint`` prints.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from repro.analysis import Baseline, lint_package, package_dir, render_text
-
-REPO_BASELINE = Path(__file__).resolve().parents[2] / "analysis" / "baseline.json"
-
-
-def load_baseline():
-    return Baseline.from_file(REPO_BASELINE) if REPO_BASELINE.is_file() else None
+from repro.analysis import lint_package, package_dir, render_text
 
 
 def test_package_tree_is_lint_clean():
-    report = lint_package(baseline=load_baseline())
+    report = lint_package()
     assert report.clean, "\n" + render_text(report)
 
 
 def test_lint_run_covers_the_whole_package():
-    report = lint_package(baseline=load_baseline())
+    report = lint_package()
     python_files = len(list(package_dir().rglob("*.py")))
     assert report.files_scanned == python_files
     assert report.files_scanned > 50
     assert len(report.rules) >= 8
-
-
-def test_committed_baseline_is_empty():
-    # Real violations get fixed, not grandfathered; keep the baseline a
-    # mechanism for emergencies, not a dumping ground.
-    baseline = load_baseline()
-    assert baseline is not None
-    assert baseline.entries == ()

@@ -72,7 +72,7 @@ def test_predictor_decision_structure(tiny_sweep):
     predictor = tiny_sweep.predictor
     record = archetype("G3_Circuit_like", scale=64)
     decision = predictor.predict(record.matrix, iterations=1, name=record.name)
-    assert decision.kernel_name in tiny_sweep.models.kernel_names
+    assert decision.kernel in tiny_sweep.models.kernel_names
     assert decision.selector_choice in (USE_KNOWN, USE_GATHERED)
     assert decision.inference_time_ms > 0.0
     if decision.selector_choice == USE_GATHERED:
@@ -92,7 +92,7 @@ def test_predictor_execute_runs_selected_kernel(tiny_sweep, rng):
     result = predictor.execute(record.matrix, x, iterations=2, name=record.name)
     expected = record.matrix.spmv(record.matrix.spmv(x))
     np.testing.assert_allclose(result.run.y, expected, rtol=1e-9)
-    assert result.run.kernel == result.decision.kernel_name
+    assert result.run.kernel == result.decision.kernel
     assert result.total_ms >= result.run.total_ms
 
 

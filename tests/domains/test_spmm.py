@@ -164,7 +164,7 @@ def test_spmm_predictor_round_trip(spmm_sweep):
     matrix = gen.regular_matrix(512, 512, 8, rng=11)
     workload = _workload(matrix, num_vectors=8)
     decision = spmm_sweep.predictor.predict(workload, iterations=4, name="probe")
-    assert decision.kernel_name in SPMM.kernel_names()
+    assert decision.kernel in SPMM.kernel_names()
     assert decision.iterations == 4
     assert decision.known.num_vectors == 8
 

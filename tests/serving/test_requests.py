@@ -1,11 +1,13 @@
 """Tests for the unified serving request/response API.
 
-Every serving entry point — the daemon, one-shot ``repro serve``,
-``repro predict --batch`` and ``SeerPredictor.serve`` — goes through
+Every serving entry point — the daemon, one-shot ``repro serve`` and
+``repro predict --batch`` — goes through
 :class:`ServeRequest`/:class:`ServeResponse` and the admission-batched
-:func:`evaluate_requests` core.  These tests pin the payload contract, the
+:func:`evaluate_requests` core, and ``SeerPredictor.predict`` decides
+through the same core.  These tests pin the payload contract, the
 validation error strings (exact-match across entry points) and the
-element-wise parity between the batched core and the serial Fig. 3 flow.
+bit-for-bit parity of the batched core with the serial Fig. 3 walk of
+``serial_walk.py``.
 """
 
 import math
@@ -13,6 +15,7 @@ import math
 import pytest
 
 from repro.core.inference import SeerPredictor
+from repro.domains import get_domain
 from repro.pipeline.sources import discover_sources
 from repro.serving.ingest import IngestCache, serve_sources
 from repro.serving.requests import (
@@ -27,6 +30,7 @@ from repro.serving.requests import (
 )
 from repro.sparse.generators import banded_matrix, power_law_matrix
 from repro.sparse.io import save_npz, write_matrix_market
+from serial_walk import serial_decision
 
 
 @pytest.fixture()
@@ -240,33 +244,93 @@ def test_evaluate_requests_matches_serve_sources(tiny_sweep, tmp_path, corpus):
         assert response.runtime_ms == decision.runtime_ms
 
 
-def test_evaluate_requests_matches_serial_predict(tiny_sweep, corpus):
-    """Batched admission window == one serial predict per workload."""
-    from repro.serving.ingest import ingest_records
+def _tiny_matrix(domain, name):
+    """The sparse matrix of one ``tiny`` collection spec, by name."""
+    spec = next(s for s in domain.collection_specs("tiny") if s.name == name)
+    return domain.spec_matrix(spec)
 
-    records = ingest_records(corpus, domain="spmv")
-    predictor = SeerPredictor(tiny_sweep.models, domain="spmv")
-    requests = requests_from_sources(discover_sources(corpus), iterations=7)
+
+def _assert_matches_serial_walk(response, models, pipeline, workload, iterations):
+    serial = serial_decision(models, pipeline, workload, iterations)
+    assert response.selector_choice == serial.selector_choice
+    assert response.kernel == serial.kernel
+    assert response.known == serial.known
+    assert response.gathered == serial.gathered
+    assert response.collection_time_ms == serial.collection_time_ms
+    assert response.inference_time_ms == serial.inference_time_ms
+    return serial.selector_choice
+
+
+def _check_against_serial_walk(sweep, domain_name, gathered_spec, options, tmp_path):
+    """Both decision entry points == the serial walk, bit for bit.
+
+    The corpus holds two small matrices plus one ``tiny`` collection matrix
+    the selector routes through feature collection at 19 iterations, each
+    decided at 1, 7 and 19 iterations — through the batched core from
+    source paths, and through ``SeerPredictor.predict`` in memory.
+    """
+    domain = get_domain(domain_name)
+    matrices = {
+        "pl": power_law_matrix(200, 200, 5.0, rng=3),
+        "band": banded_matrix(128, 7, rng=1),
+        "routed": _tiny_matrix(domain, gathered_spec),
+    }
+    requests, workloads = [], []
+    for name, matrix in matrices.items():
+        path = tmp_path / f"{name}.npz"
+        save_npz(matrix, path)
+        for iterations in (1, 7, 19):
+            requests.append(
+                ServeRequest(
+                    name=name,
+                    source=str(path),
+                    iterations=iterations,
+                    options=dict(options),
+                )
+            )
+            workloads.append((domain.serving_workload(matrix, options), iterations))
     responses, _ = evaluate_requests(
-        tiny_sweep.models, requests, domain="spmv", execute=False
+        sweep.models, requests, domain=domain, execute=False
     )
-    for record, response in zip(records, responses):
-        serial = predictor.predict(record.matrix, iterations=7, name=record.name)
-        assert response.selector_choice == serial.selector_choice
-        assert response.kernel == serial.kernel_name
-        assert response.known == serial.known
-        assert response.gathered == serial.gathered
-        assert response.collection_time_ms == serial.collection_time_ms
-        assert response.inference_time_ms == serial.inference_time_ms
+    pipeline = domain.make_pipeline()
+    predictor = SeerPredictor(sweep.models, domain=domain)
+    routes = set()
+    for response, (workload, iterations) in zip(responses, workloads):
+        routes.add(
+            _assert_matches_serial_walk(
+                response, sweep.models, pipeline, workload, iterations
+            )
+        )
+        predicted = predictor.predict(workload, iterations, name=response.name)
+        _assert_matches_serial_walk(
+            predicted, sweep.models, pipeline, workload, iterations
+        )
+        assert predicted.iterations == iterations
+    assert routes == {"known", "gathered"}  # both paths exercised
+
+
+def test_evaluate_requests_matches_serial_predict(tiny_sweep, tmp_path):
+    """SpMV: batched core and predictor == one serial walk per workload."""
+    _check_against_serial_walk(
+        tiny_sweep, "spmv", "power_law_1024_0", {}, tmp_path
+    )
+
+
+def test_spmm_decisions_match_serial_walk(tiny_sweep_spmm, tmp_path):
+    """SpMM (``num_vectors`` as a workload option) against the same walk."""
+    _check_against_serial_walk(
+        tiny_sweep_spmm, "spmm", "power_law_1024_0_v4", {"num_vectors": 4}, tmp_path
+    )
 
 
 def test_inline_requests_match_source_requests(tiny_sweep, corpus):
     """Inline features replayed from a source decision give the same answer."""
-    predictor = SeerPredictor(tiny_sweep.models, domain="spmv")
     (source_request,) = requests_from_sources(
         discover_sources(corpus / "pl.mtx")
     )
-    from_source = predictor.serve(source_request)
+    ((from_source,), _) = evaluate_requests(
+        tiny_sweep.models, [source_request], domain="spmv", execute=False
+    )
     inline = ServeRequest(
         name="pl-inline",
         known=from_source.known.as_dict(),
@@ -277,7 +341,9 @@ def test_inline_requests_match_source_requests(tiny_sweep, corpus):
         ),
         iterations=from_source.iterations,
     )
-    from_inline = predictor.serve(inline)
+    ((from_inline,), _) = evaluate_requests(
+        tiny_sweep.models, [inline], domain="spmv", execute=False
+    )
     assert from_inline.selector_choice == from_source.selector_choice
     assert from_inline.kernel == from_source.kernel
     assert from_inline.kind == "inline" and from_source.kind != "inline"

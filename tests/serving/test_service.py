@@ -768,15 +768,23 @@ def test_shutdown_is_idempotent_and_summary_is_written(
         service.url + "/v1/serve",
         {"name": "w", "known": known, "gathered": gathered},
     )
+    _post(service.url + "/v1/serve", {"name": "bad", "iterations": "x"})
     _, metrics = _get(service.url + "/metrics")
     assert "precision" not in metrics
     summary = service.shutdown()
     assert service.shutdown() is None  # second caller: already drained
-    assert summary["metrics"]["requests_total"] == 1
+    assert summary["metrics"]["requests_total"] == 2
+    assert summary["metrics"]["failures_total"] == 1
     assert summary["service"]["max_batch_size"] == 2
     assert "precision" not in summary["service"]
     on_disk = json.loads((tmp_path / "logs" / "summary.json").read_text())
     assert on_disk == summary
+    # /metrics and summary.json hold the same counters for the same traffic;
+    # only the wall-clock-derived rates move between the two reads.
+    moving = ("uptime_s", "throughput_rps")
+    assert {k: v for k, v in metrics.items() if k not in moving + ("drift",)} == {
+        k: v for k, v in on_disk["metrics"].items() if k not in moving
+    }
     log_lines = (
         (tmp_path / "logs" / "requests.log").read_text().strip().splitlines()
     )
@@ -844,10 +852,10 @@ def test_embedded_service_shutdown_without_accept_loop(model_path):
 # ----------------------------------------------------------------------
 def test_metrics_bucket_error_latencies_separately():
     """Failed-request latencies must never pollute the success histogram."""
-    from repro.serving.service import _EMPTY_STATS, ServiceMetrics
+    from repro.serving.service import ServiceMetrics
 
     metrics = ServiceMetrics()
-    metrics.record_results([], _EMPTY_STATS, [10.0])
+    metrics.record_latency(10.0)
     metrics.record_error(50.0)
     metrics.record_error()  # error with no measurable latency still counts
     snapshot = metrics.snapshot()

@@ -100,7 +100,7 @@ def test_reloaded_models_back_a_working_predictor(tiny_sweep, tmp_path, small_ma
     for matrix in small_matrices.values():
         fresh = predictor.predict(matrix, iterations=3)
         original = tiny_sweep.predictor.predict(matrix, iterations=3)
-        assert fresh.kernel_name == original.kernel_name
+        assert fresh.kernel == original.kernel
         assert fresh.selector_choice == original.selector_choice
 
 

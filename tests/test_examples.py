@@ -1,7 +1,8 @@
 """Every example script imports against the current library API.
 
 The examples run real sweeps in ``main()``, so only their imports are
-exercised here; each keeps its work behind a ``__main__`` guard.
+exercised here; each keeps its work behind a ``__main__`` guard.  CI's
+``examples-smoke`` job runs every script end to end.
 """
 
 import importlib.util
