@@ -25,7 +25,12 @@ from repro.sparse.collection import iter_collection
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="seer_pipeline_"))
+    with tempfile.TemporaryDirectory(prefix="seer_pipeline_") as name:
+        run_pipeline(Path(name))
+
+
+def run_pipeline(workdir: Path) -> None:
+    """Every stage of the pipeline, its files under ``workdir``."""
     print(f"pipeline working directory: {workdir}")
 
     # Stage 1+2: GPU benchmarking and feature collection over the

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.kernels.base import UnsupportedKernelError
+from repro.kernels.base import LaunchContext, UnsupportedKernelError
 
 #: Default collection profile of an experiment suite run.  ``medium`` is
 #: large enough to leave the launch-overhead-dominated regime; the benchmark
@@ -80,31 +80,59 @@ class MatrixPicks:
         return self.total_ms(self.known_kernel)
 
 
-def matrix_picks(sweep, record, iterations: int, kernels) -> MatrixPicks:
-    """Time every kernel on ``record`` and ask each predictor for its pick.
+@dataclass(frozen=True)
+class MatrixMeasurement:
+    """One matrix measured once: every kernel's timing and its gathered row.
 
-    The oracle is the fastest supported kernel (ties broken by name); the
-    Selector pick is :meth:`~repro.core.inference.SeerPredictor.predict`,
-    the Known and Gathered picks the sweep's classifiers on the always-known
-    and always-collected features.
+    Neither depends on the iteration count, so :func:`matrix_picks` prices
+    any number of counts from one measurement.  An unsupported kernel's
+    timing is ``None``.
+    """
+
+    timings: dict
+    gathered: object
+
+
+def measure_kernels(sweep, record, kernels) -> MatrixMeasurement:
+    """Time every kernel on ``record`` and collect its gathered features.
+
+    The timings and the collection share one launch context, so the row
+    lengths are derived once per matrix.
     """
     matrix = record.matrix
-    predictor = sweep.predictor
+    context = LaunchContext.of(matrix)
     timings = {}
     for kernel in kernels:
         try:
-            timings[kernel.name] = kernel.timing(matrix)
+            timings[kernel.name] = kernel.timing(matrix, context=context)
         except UnsupportedKernelError:
             timings[kernel.name] = None
+    return MatrixMeasurement(
+        timings=timings,
+        gathered=sweep.predictor.pipeline.gather(matrix, context=context),
+    )
+
+
+def matrix_picks(sweep, record, iterations: int, measured: MatrixMeasurement) -> MatrixPicks:
+    """Price ``measured`` at ``iterations`` and ask each predictor for its pick.
+
+    The oracle is the fastest supported kernel (ties broken by name); the
+    Selector pick is :meth:`~repro.core.inference.SeerPredictor.predict`,
+    which pays its own collection on the gathered route, the Known and
+    Gathered picks the sweep's classifiers on the always-known and
+    always-collected features.
+    """
+    matrix = record.matrix
+    predictor = sweep.predictor
     totals = {
         name: math.inf if timing is None else timing.total_ms(iterations)
-        for name, timing in timings.items()
+        for name, timing in measured.timings.items()
     }
     finite = {name: value for name, value in totals.items() if math.isfinite(value)}
     known = predictor.pipeline.known_features(matrix, iterations).as_vector()
-    gathered = predictor.pipeline.gather(matrix)
+    gathered = measured.gathered
     return MatrixPicks(
-        timings=timings,
+        timings=measured.timings,
         totals_ms=totals,
         oracle=min(finite, key=lambda name: (finite[name], name)),
         worst_ms=max(finite.values()),

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.bench.evaluation import EvaluationReport
 from repro.domains.spmv import SPMV
-from repro.experiments.common import format_table, matrix_picks
+from repro.experiments.common import format_table, matrix_picks, measure_kernels
 from repro.experiments.registry import ExperimentArtifact, register_experiment
 from repro.sparse.collection import archetype
 
@@ -123,7 +123,7 @@ class Fig5Result:
 def _study_for_matrix(record, sweep) -> Fig5MatrixStudy:
     """Build the per-matrix bars (predictors first, then every kernel)."""
     kernels = SPMV.default_kernels(sweep.predictor.device, include_aux=False)
-    picks = matrix_picks(sweep, record, 1, kernels)
+    picks = matrix_picks(sweep, record, 1, measure_kernels(sweep, record, kernels))
     matrix = record.matrix
     study = Fig5MatrixStudy(name=record.name, rows=matrix.num_rows, nnz=matrix.nnz)
     study.bars.append(ApproachBar("Oracle", picks.oracle_ms))

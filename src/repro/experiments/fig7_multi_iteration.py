@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.domains.spmv import SPMV
-from repro.experiments.common import format_table, matrix_picks
+from repro.experiments.common import format_table, matrix_picks, measure_kernels
 from repro.experiments.registry import ExperimentArtifact, register_experiment
 from repro.sparse.collection import archetype
 
@@ -136,9 +136,8 @@ class Fig7Result:
         )
 
 
-def _case_for(record, iterations: int, sweep) -> Fig7Case:
-    kernels = SPMV.default_kernels(sweep.predictor.device)
-    picks = matrix_picks(sweep, record, iterations, kernels)
+def _case_for(record, iterations: int, sweep, measured) -> Fig7Case:
+    picks = matrix_picks(sweep, record, iterations, measured)
     return Fig7Case(
         name=record.name,
         iterations=iterations,
@@ -159,10 +158,12 @@ def run_fig7(sweep, scales=None) -> Fig7Result:
     """Regenerate the Fig. 7 multi-iteration amortization study."""
     scales = scales or FIG7_MATRICES
     result = Fig7Result()
+    kernels = SPMV.default_kernels(sweep.predictor.device)
     for name, scale in scales.items():
         record = archetype(name, scale=scale)
+        measured = measure_kernels(sweep, record, kernels)
         for iterations in FIG7_ITERATIONS:
-            result.cases.append(_case_for(record, iterations, sweep))
+            result.cases.append(_case_for(record, iterations, sweep, measured))
     return result
 
 

@@ -29,7 +29,20 @@ Scaling machinery is reused from the sweep engine:
   views of it: no byte is zero-filled or copied, and stored int32 columns
   widen only if something reads them (SpMV serving never does).  Any
   write, ``os.utime`` or replacement changes that identity and retires the
-  memo.
+  memo;
+* **prepared-source memo** — the daemon's cache also remembers what it
+  derived from each source, keyed by the content key above plus the domain,
+  device and workload options: the known row at one iteration (each request
+  applies its own count), the gathered row with its simulated collection
+  cost, and every kernel's simulated timing (``None`` where unsupported).
+  A repeat request is then decided from the entry without touching the
+  matrix; the figures are the same simulated numbers a fresh ingest would
+  produce, so decisions and cost accounting are unchanged.  An edit changes
+  the content key, so it misses.  The memo holds at most
+  ``DIGEST_MEMO_MAX_ENTRIES`` entries, least recently used evicted first,
+  and ``/metrics`` counts ``prepared_memo_hits`` and
+  ``prepared_memo_evictions``.  One-shot ``repro serve`` sees each source
+  once and keeps no such memo.
 """
 
 from __future__ import annotations
@@ -89,6 +102,10 @@ class IngestCache:
     the engine's generated-matrix tier is keyed by recipe + generator code.
     """
 
+    #: The memo of :class:`~repro.serving.requests.PreparedSource` entries
+    #: serving consults before ingesting; only the daemon's cache keeps one.
+    prepared_sources = None
+
     def __init__(self, root):
         # expanduser so the Python API accepts "~/.cache/seer" exactly as
         # the shell-expanded CLI examples do.
@@ -118,8 +135,11 @@ class IngestCache:
             }
         )
 
-    def path(self, source) -> Path:
-        return self._directory / (self.key(source) + sparse_io.TIER_SUFFIX)
+    def path(self, source, key=None) -> Path:
+        """Where ``source`` is stored; ``key``, if given, is its :meth:`key`."""
+        if key is None:
+            key = self.key(source)
+        return self._directory / (key + sparse_io.TIER_SUFFIX)
 
 
 def _load_cached_matrix(path: Path):
@@ -135,16 +155,16 @@ def _store_cached_matrix(path: Path, matrix: CSRMatrix) -> None:
     atomic_write_bytes(path, sparse_io.csr_to_tier_bytes(matrix))
 
 
-def ingest_matrix(source, cache=None) -> tuple:
+def ingest_matrix(source, cache=None, key=None) -> tuple:
     """Resolve one source to a CSR matrix; returns ``(matrix, cache_hit)``.
 
     The cache key — which digests the source's content — is computed once
     per call, so a cache miss on a huge Matrix-Market file hashes its bytes
-    a single time.
+    a single time; a caller that already holds it passes it as ``key``.
     """
     if cache is None:
         return load_source(source), False
-    artifact_path = cache.path(source)
+    artifact_path = cache.path(source, key)
     cached = _load_cached_matrix(artifact_path)
     if cached is not None:
         return cached, True

@@ -33,7 +33,7 @@ the *same* one-line error whatever entry point it came through.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Dict,
@@ -56,7 +56,7 @@ from repro.domains.base import (
     KnownFeatureRow,
 )
 from repro.gpu.device import MI100, DeviceSpec
-from repro.kernels.base import LaunchContext, UnsupportedKernelError
+from repro.kernels.base import KernelTiming, LaunchContext, UnsupportedKernelError
 from repro.pipeline.sources import MatrixSource, MatrixSourceError, resolve_source
 from repro.serving.backends import CompiledBackend
 from repro.sparse.coo import SparseFormatError
@@ -436,6 +436,8 @@ class EvaluationStats:
     ingest_cache_hits: int = 0
     gathered_routed: int = 0
     failures: int = 0
+    prepared_memo_hits: int = 0
+    prepared_memo_evictions: int = 0
 
     def add(self, other: "EvaluationStats") -> None:
         """Fold another call's counters into these (chunked serve runs)."""
@@ -450,8 +452,10 @@ class EvaluationStats:
 class PreparedRequest:
     """One workload after ingestion/featurization, awaiting inference.
 
-    Matrix-backed items carry their ``workload`` (gathered on demand);
-    inline-feature items may carry ``gathered_inline`` instead.
+    Matrix-backed items carry their ``workload`` (gathered and timed on
+    demand).  Items without one may carry a supplied ``gathered`` row (inline
+    features, or a memoized source's collected row) and, for a memoized
+    source, the ``timings`` of every kernel.
     """
 
     name: str
@@ -462,7 +466,68 @@ class PreparedRequest:
     #: Shared by the workload's feature collection and kernel timing, so its
     #: row-length arrays are derived once.
     context: Optional[LaunchContext] = None
-    gathered_inline: Optional[GatheredFeatureRow] = None
+    gathered: Optional[GatheredFeatureRow] = None
+    #: Kernel name -> timing, ``None`` where the kernel is unsupported.
+    timings: Optional[Mapping[str, Optional[KernelTiming]]] = None
+
+
+@dataclass(frozen=True)
+class PreparedSource:
+    """Everything a decision reads of one source, derived once.
+
+    The daemon's cache memoizes these (:class:`~repro.serving.service.
+    MemoizedIngestCache`), so a repeat source is decided with no matrix:
+    ``known`` is the known row at one iteration (each request applies its
+    own count), ``gathered`` the collected row with its simulated collection
+    cost, and ``timings`` every kernel's simulated timing (``None`` where the
+    kernel does not support the workload).
+    """
+
+    known: KnownFeatureRow
+    gathered: GatheredFeatureRow
+    timings: Mapping[str, Optional[KernelTiming]]
+
+    @classmethod
+    def derive(
+        cls,
+        workload,
+        domain: "ProblemDomain",
+        device: DeviceSpec,
+        pipeline: "FeaturePipeline",
+    ) -> "PreparedSource":
+        """Featurize, gather and time every kernel over one launch context."""
+        context = LaunchContext.of(workload)
+        gathered = pipeline.gather(workload, context=context)
+        timings = {}
+        for name in domain.kernel_names():
+            timing = _timing_or_none(domain.make_kernel(name, device), workload, context)
+            # No response reads the launch breakdown; without it an entry
+            # holds about 1.8 kB instead of 4.6 kB.
+            timings[name] = None if timing is None else replace(timing, iteration_detail=None)
+        return cls(
+            known=pipeline.known_features(workload, 1),
+            gathered=gathered,
+            timings=timings,
+        )
+
+    def request(self, name: str, iterations: int, source) -> PreparedRequest:
+        """The prepared form of one request for this source."""
+        return PreparedRequest(
+            name=name,
+            known=self.known.with_iterations(iterations),
+            source=source.location,
+            kind=source.kind,
+            gathered=self.gathered,
+            timings=self.timings,
+        )
+
+
+def _timing_or_none(kernel, workload, context) -> Optional[KernelTiming]:
+    """``kernel``'s timing of ``workload``, or ``None`` where it is unsupported."""
+    try:
+        return kernel.timing(workload, context=context)
+    except UnsupportedKernelError:
+        return None
 
 
 def _prepare_request(
@@ -470,11 +535,18 @@ def _prepare_request(
     index: int,
     models: SeerModels,
     domain: "Optional[ProblemDomain]",
+    device: DeviceSpec,
     pipeline: "Optional[FeaturePipeline]",
     cache: "Optional[IngestCache]",
     stats: EvaluationStats,
 ) -> PreparedRequest:
-    """Resolve one request to features; raises :class:`IngestError` on bad input."""
+    """Resolve one request to features; raises :class:`IngestError` on bad input.
+
+    With a cache that memoizes prepared sources (the daemon's), a source
+    seen before with the same workload options is decided from its
+    :class:`PreparedSource`, and a new one is derived in full and
+    remembered; any other cache ingests and featurizes every request.
+    """
     from repro.serving.ingest import ingest_matrix
 
     label = request.name or "request"
@@ -495,7 +567,7 @@ def _prepare_request(
         )
         if ITERATIONS_FIELD in known.names:
             known = known.with_iterations(int(known.iterations))
-        gathered_inline = None
+        gathered = None
         if request.gathered is not None:
             gathered_values = feature_vector(
                 request.gathered,
@@ -504,20 +576,34 @@ def _prepare_request(
                 line,
                 "gathered",
             )
-            gathered_inline = GatheredFeatureRow(
+            gathered = GatheredFeatureRow(
                 names=tuple(models.gathered_feature_names),
                 values=tuple(gathered_values),
             )
         return PreparedRequest(
             name=request.name or "matrix",
             known=known,
-            gathered_inline=gathered_inline,
+            gathered=gathered,
         )
 
     stats.source_requests += 1
+    memo = None if cache is None else cache.prepared_sources
+    options = request.options or {}
     try:
         source = resolve_source(request.source)
-        matrix, hit = ingest_matrix(source, cache)
+        if memo is None:
+            matrix, hit = ingest_matrix(source, cache)
+        else:
+            content_key = cache.key(source)
+            memo_key = memo.key(content_key, domain.name, device.name, options)
+            remembered = memo.get(memo_key)
+            if remembered is not None:
+                stats.ingest_cache_hits += 1
+                stats.prepared_memo_hits += 1
+                return remembered.request(
+                    request.name or source.name, request.iterations, source
+                )
+            matrix, hit = ingest_matrix(source, cache, key=content_key)
     except (MatrixSourceError, SparseFormatError, OSError) as error:
         raise IngestError(f"{label}: {error}") from None
     if hit:
@@ -525,13 +611,16 @@ def _prepare_request(
     else:
         stats.matrices_ingested += 1
     try:
-        workload = domain.serving_workload(matrix, request.options or {})
+        workload = domain.serving_workload(matrix, options)
     except ValueError as error:
         raise IngestError(f"{label}: {error}") from None
-    known = pipeline.known_features(workload, request.iterations)
+    if memo is not None:
+        prepared = PreparedSource.derive(workload, domain, device, pipeline)
+        stats.prepared_memo_evictions += memo.put(memo_key, prepared)
+        return prepared.request(request.name or source.name, request.iterations, source)
     return PreparedRequest(
         name=request.name or source.name,
-        known=known,
+        known=pipeline.known_features(workload, request.iterations),
         source=source.location,
         kind=source.kind,
         workload=workload,
@@ -597,7 +686,7 @@ def evaluate_requests(
     for index, request in enumerate(requests):
         try:
             item = _prepare_request(
-                request, index, models, domain, pipeline, cache, stats
+                request, index, models, domain, device, pipeline, cache, stats
             )
         except IngestError as error:
             if strict:
@@ -667,8 +756,8 @@ def decide_prepared(
             continue
         if item.workload is not None:
             gathered = pipeline.gather(item.workload, context=item.context)
-        elif item.gathered_inline is not None:
-            gathered = item.gathered_inline
+        elif item.gathered is not None:
+            gathered = item.gathered
         else:
             message = (
                 f"{item.name} is routed to the gathered classifier but the "
@@ -712,16 +801,22 @@ def decide_prepared(
         supported = True
         preprocessing_ms = 0.0
         runtime_ms = 0.0
-        if execute and item.workload is not None:
+        if execute and (item.workload is not None or item.timings is not None):
             executed = True
-            kernel = domain.make_kernel(kernel_name, device)
-            try:
-                timing = kernel.timing(item.workload, context=item.context)
-                preprocessing_ms = timing.preprocessing_ms
-                runtime_ms = timing.iteration_ms
-            except UnsupportedKernelError:
+            if item.timings is not None:
+                timing = item.timings[kernel_name]
+            else:
+                timing = _timing_or_none(
+                    domain.make_kernel(kernel_name, device),
+                    item.workload,
+                    item.context,
+                )
+            if timing is None:
                 supported = False
                 runtime_ms = math.inf
+            else:
+                preprocessing_ms = timing.preprocessing_ms
+                runtime_ms = timing.iteration_ms
         results[position] = ServeResponse(
             name=item.name,
             selector_choice=selector_choice,

@@ -21,7 +21,10 @@ The moving parts, stdlib only:
   the process;
 * :class:`MemoizedIngestCache` — the content-addressed ingest cache plus a
   memo of file digests and cache keys by ``stat`` identity, so a cache hit
-  on an unchanged file skips reading and hashing it;
+  on an unchanged file skips reading and hashing it, and a
+  :class:`PreparedSourceMemo` of what each source it prepared yielded (known
+  row, gathered row, every kernel's timing), so a repeat source request is
+  decided with no matrix load, featurization, collection or kernel timing;
 * :class:`DynamicBatcher` — a condition-variable admission queue: a batch
   flushes when it reaches ``max_batch_size`` (*full*), when no request
   the front end has admitted is still being read, so nothing else can
@@ -75,8 +78,8 @@ logger = logging.getLogger(__name__)
 REQUEST_LOG_FILE_NAME = "requests.log"
 SUMMARY_FILE_NAME = "summary.json"
 
-#: Most file digests the daemon's ingest cache remembers; the oldest entry
-#: is evicted first.
+#: Most entries each of the daemon's ingest-cache memos (file digests,
+#: prepared sources) keeps; the oldest entry is evicted first.
 DIGEST_MEMO_MAX_ENTRIES = 4096
 
 #: Seconds a file's newest timestamp (mtime or ctime) must predate the start
@@ -355,6 +358,8 @@ class ServiceMetrics:
     matrices_ingested: int = 0
     ingest_cache_hits: int = 0
     ingest_digest_memo_hits: int = 0
+    prepared_memo_hits: int = 0
+    prepared_memo_evictions: int = 0
     gathered_routed: int = 0
     batches_total: int = 0
     batch_occupancy_sum: int = 0
@@ -401,6 +406,8 @@ class ServiceMetrics:
                 self.source_requests += stats.source_requests
                 self.matrices_ingested += stats.matrices_ingested
                 self.ingest_cache_hits += stats.ingest_cache_hits
+                self.prepared_memo_hits += stats.prepared_memo_hits
+                self.prepared_memo_evictions += stats.prepared_memo_evictions
                 self.gathered_routed += stats.gathered_routed
 
     def record_latency(self, latency_ms: float) -> None:
@@ -446,6 +453,8 @@ class ServiceMetrics:
                 "matrices_ingested": self.matrices_ingested,
                 "ingest_cache_hits": self.ingest_cache_hits,
                 "ingest_digest_memo_hits": self.ingest_digest_memo_hits,
+                "prepared_memo_hits": self.prepared_memo_hits,
+                "prepared_memo_evictions": self.prepared_memo_evictions,
                 "ingest_cache_hit_rate": (
                     self.ingest_cache_hits
                     / max(self.ingest_cache_hits + self.matrices_ingested, 1)
@@ -495,8 +504,11 @@ class MemoizedIngestCache(IngestCache):
     A digest is recorded only when the identity is the same before and
     after hashing and the file's newest timestamp predates the hashing by
     :data:`DIGEST_MEMO_RACY_MARGIN_S`: an edit within one timestamp tick of
-    the hash could otherwise leave the identity unchanged.  Recipe sources hash their spec as before.  Keys
-    are identical to the plain cache's.
+    the hash could otherwise leave the identity unchanged.  Recipe sources
+    hash their spec as before.  Keys are identical to the plain cache's.
+
+    ``prepared_sources`` remembers, by those keys, what serving derived from
+    each source (:class:`PreparedSourceMemo`).
     """
 
     def __init__(self, root, on_memo_hit=None):
@@ -504,6 +516,7 @@ class MemoizedIngestCache(IngestCache):
         self._on_memo_hit = on_memo_hit
         self._memo_lock = threading.Lock()
         self._memo: "OrderedDict[str, tuple]" = OrderedDict()
+        self.prepared_sources = PreparedSourceMemo()
 
     def digest(self, source) -> str:
         if source.kind == "recipe":
@@ -541,6 +554,58 @@ class MemoizedIngestCache(IngestCache):
                 while len(self._memo) > DIGEST_MEMO_MAX_ENTRIES:
                     self._memo.popitem(last=False)
         return digest, key
+
+
+class PreparedSourceMemo:
+    """What the daemon derived from each source it prepared, by content.
+
+    Maps ``(content key, domain, device, workload options)`` to a
+    :class:`~repro.serving.requests.PreparedSource`: the known row, the
+    gathered row and every kernel's timing, all deterministic in the matrix
+    content and the options.  The content key is the ingest cache's, so an
+    edited file misses.  Entries hold no decision, so hot-reloaded or
+    per-request models read them unchanged.  At most
+    :data:`DIGEST_MEMO_MAX_ENTRIES` are kept, least recently used evicted
+    first; a client-assembled batch prepares on its handler thread beside
+    the batcher, so every access takes the lock.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._entries: OrderedDict = OrderedDict()
+
+    @staticmethod
+    def key(content_key: str, domain: str, device: str, options: dict) -> tuple:
+        """The entry key of one source's content under one workload setting.
+
+        Option values enter by ``repr``, so any value a request carries
+        makes a key; an entry exists only for options that built a workload.
+        """
+        return (
+            content_key,
+            domain,
+            device,
+            tuple(sorted((name, repr(value)) for name, value in options.items())),
+        )
+
+    def get(self, key):
+        """The entry under ``key`` (now the most recently used), or ``None``."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            return entry
+
+    def put(self, key, entry) -> int:
+        """Remember ``entry``; returns how many older entries were evicted."""
+        with self._lock:
+            self._entries[key] = entry
+            self._entries.move_to_end(key)
+            evicted = 0
+            while len(self._entries) > DIGEST_MEMO_MAX_ENTRIES:
+                self._entries.popitem(last=False)
+                evicted += 1
+            return evicted
 
 
 # ----------------------------------------------------------------------

@@ -6,16 +6,24 @@ each figure is meant to demonstrate.
 """
 
 import math
+from collections import Counter
 
 import pytest
 
+from repro.core.training import USE_GATHERED
 from repro.experiments.accuracy_table import run_accuracy_table
 from repro.experiments.fig1_best_kernel import run_fig1
 from repro.experiments.fig5_single_iteration import run_fig5
 from repro.experiments.fig6_feature_cost import run_fig6
-from repro.experiments.fig7_multi_iteration import FIG7_ITERATIONS, run_fig7
+from repro.experiments.fig7_multi_iteration import (
+    FIG7_ITERATIONS,
+    FIG7_MATRICES,
+    run_fig7,
+)
 from repro.experiments.table1_features import PRIOR_WORK_COLUMNS, run_table1
 from repro.experiments.table3_kendall import TABLE3_FEATURES, run_table3
+from repro.pipeline import FeaturePipeline
+from repro.sparse.collection import archetype
 
 
 # ----------------------------------------------------------------------
@@ -149,6 +157,31 @@ def test_fig7_adaptive_never_wins_single_iteration(fig7_result):
     for case in fig7_result.cases:
         if case.iterations == 1:
             assert not case.oracle_uses_preprocessing_kernel
+
+
+def test_fig7_collects_each_matrix_once_beside_the_selector(tiny_sweep, monkeypatch):
+    """Gathered features do not depend on the iteration count: one
+    collection per matrix prices every count, and only the Selector's own
+    gathered route (its paid cost) collects again."""
+    gathers = Counter()
+    real_gather = FeaturePipeline.gather
+
+    def gather(self, workload, context=None):
+        gathers[(workload.num_rows, workload.nnz)] += 1
+        return real_gather(self, workload, context=context)
+
+    monkeypatch.setattr(FeaturePipeline, "gather", gather)
+    result = run_fig7(sweep=tiny_sweep)
+    sizes = {}
+    for name, scale in FIG7_MATRICES.items():
+        matrix = archetype(name, scale=scale).matrix
+        sizes[name] = (matrix.num_rows, matrix.nnz)
+    expected = Counter(sizes.values())
+    for case in result.cases:
+        if case.selector_choice == USE_GATHERED:
+            expected[sizes[case.name]] += 1
+    assert len(result.cases) == len(FIG7_MATRICES) * len(FIG7_ITERATIONS)
+    assert gathers == expected
 
 
 def test_fig7_amortization_flips_for_some_matrix(fig7_result):
